@@ -2,7 +2,8 @@
 
 Four loosely related tests live here:
 
-* adequacy of a diagram, read off the all-A and all-B state circles;
+* adequacy of a diagram, read off the all-A and all-B state circles
+  of diagram.state_circles;
 * the "special" pattern of a Jones polynomial (non-alternating signs
   or gaps in the exponent range);
 * the thickness predicate for reduced Montesinos symbols,
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .conway import MissingParameterError, ReducedSymbol
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, state_circles
 from .homology import thinness
 from .invariants import LaurentPoly
 
@@ -45,43 +46,28 @@ class AdequacyReport:
         return "inadequate"
 
 
-def _state_find(d, pairs):
-    """Union-find over plugs after smoothing every crossing with `pairs`."""
-    parent = list(range(4 * d.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in d.adj.items():
-        union(a, b)
-    for c in range(d.n):
-        for s, t in pairs:
-            union(4 * c + s, 4 * c + t)
-    return find
-
-
 def adequacy(d: LinkDiagram) -> AdequacyReport:
     """Self-touch test on the extreme states.
 
     A state is adequate when no crossing has both of its smoothed
-    strands on the same state circle.  The A-smoothing joins plugs
-    (0,1) and (2,3) of a crossing, so the two strands meet circles
-    find(4c) and find(4c+2); the B-smoothing joins (0,3) and (1,2),
-    putting the strands on find(4c) and find(4c+1).
+    strands on the same state circle.  The circles come from
+    diagram.state_circles of the all-A state 0 and the all-B state
+    (1 << n) - 1.  The A-smoothing joins plugs (0,1) and (2,3) of a
+    crossing, so its two strands meet the circles of plugs 4c and
+    4c+2; the B-smoothing joins (0,3) and (1,2), putting the strands
+    on the circles of 4c and 4c+1.
     """
-    find_a = _state_find(d, ((0, 1), (2, 3)))
-    find_b = _state_find(d, ((0, 3), (1, 2)))
-    plus = all(find_a(4 * c) != find_a(4 * c + 2) for c in range(d.n))
-    minus = all(find_b(4 * c) != find_b(4 * c + 1) for c in range(d.n))
+    label_a = _circle_labels(d, 0)
+    label_b = _circle_labels(d, (1 << d.n) - 1)
+    plus = all(label_a[4 * c] != label_a[4 * c + 2] for c in range(d.n))
+    minus = all(label_b[4 * c] != label_b[4 * c + 1] for c in range(d.n))
     return AdequacyReport(plus, minus)
+
+
+def _circle_labels(d, state):
+    """Plug -> index of its circle in the given state."""
+    return {p: i for i, circle in enumerate(state_circles(d, state))
+            for p in circle}
 
 
 # --- Jones sign/gap pattern ------------------------------------------

@@ -618,13 +618,6 @@ def cf_pair(terms) -> tuple:
     return p, q
 
 
-def continued_fraction_value(terms) -> Fraction:
-    p, q = cf_pair(terms)
-    if q == 0:
-        raise ZeroDivisionError("infinity tangle")
-    return Fraction(p, q)
-
-
 def tangle_fraction(node) -> tuple:
     """Slope (num, den) of a rational tangle symbol.
 

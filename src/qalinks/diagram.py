@@ -575,6 +575,35 @@ def is_alternating(d: LinkDiagram) -> bool:
     return all((a + b) % 2 == 1 for a, b in d.adj.items())
 
 
+def state_circles(d: LinkDiagram, state: int):
+    """Circles of the smoothing state given as a bitmask, free loops left out.
+
+    Bit c of state picks the B smoothing at crossing c, a clear bit the
+    A smoothing.  Each circle is the tuple of plugs met walking from
+    its smallest plug along the arc, then across the smoothing to the
+    partner plug (slot s^1 under A, 3-s under B), and so on; circles
+    come in the order of their smallest plugs.  A circle that a state
+    change leaves untouched keeps the identical tuple.
+    """
+    adj = d.adj
+    seen = bytearray(4 * d.n)
+    circles = []
+    for p0 in range(4 * d.n):
+        if seen[p0]:
+            continue
+        circle = []
+        p = p0
+        while True:
+            q = adj[p]
+            seen[p] = seen[q] = 1
+            circle += (p, q)
+            p = q ^ 3 if state >> (q >> 2) & 1 else q ^ 1
+            if p == p0:
+                break
+        circles.append(tuple(circle))
+    return circles
+
+
 def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
     """Replace crossing c by the A or B smoothing."""
     if kind == "A":
@@ -708,6 +737,62 @@ def r3_moves(d: LinkDiagram):
     return out
 
 
+# --- crossing extension ----------------------------------------------
+
+class ExtensionSignMismatch(ValueError):
+    """Tangle entries must all carry the sign of the replaced crossing."""
+
+
+@dataclass(frozen=True)
+class ExtensionSpec:
+    crossing: int
+    entries: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
+        if not self.entries or any(a == 0 for a in self.entries):
+            raise ValueError("entries must be nonzero integers")
+
+
+# Corner frames: where the tangle corners land on the plugs of the
+# replaced crossing, per crossing sign.  With these frames the single
+# tangle with the crossing's own sign glues back to the identical
+# diagram, which pins the convention.
+_FRAME = {
+    1: {"SE": 0, "NE": 1, "NW": 2, "SW": 3},
+    -1: {"SE": 1, "NE": 2, "NW": 3, "SW": 0},
+}
+
+
+def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
+    """Replace a crossing with the twist tangle of spec.entries.
+
+    The entries must all carry the sign of the replaced crossing,
+    making the inserted rational tangle alternate with its
+    surroundings; crossing count grows by sum(|entries|) - 1.
+    """
+    c = spec.crossing
+    if not 0 <= c < d.n:
+        raise ValueError("no crossing %r" % (c,))
+    sign = crossing_signs(d)[c]
+    if any(sign * a < 1 for a in spec.entries):
+        raise ExtensionSignMismatch(
+            "entries %r do not extend a crossing of sign %+d"
+            % (list(spec.entries), sign))
+    t = _expr_tangle(Seq(spec.entries))
+    shift = 4 * d.n
+    arcs = dict(d.adj)
+    for a, b in t.arcs.items():
+        ra = a if isinstance(a, str) else a + shift
+        rb = b if isinstance(b, str) else b + shift
+        arcs[ra] = rb
+    frame = _FRAME[sign]
+    arcs, loops = _fuse(arcs, [(corner, 4 * c + s)
+                               for corner, s in frame.items()])
+    merged = LinkDiagram(d.n + t.n, arcs, d.loops + t.loops + loops)
+    return _drop_crossings(merged, {c})
+
+
 # --- faces and coloring ----------------------------------------------
 
 def faces(d: LinkDiagram):
@@ -771,7 +856,7 @@ def canonical_code(d: LinkDiagram) -> str:
     plugs its four slots attach to, plus the free loop count."""
     if d.n == 0:
         return "|%d" % d.loops
-    comp = _graph_components(d)
+    comp = graph_components(d)
     codes = []
     for crossings in comp:
         best = None
@@ -828,7 +913,8 @@ def from_code(code: str) -> LinkDiagram:
     return LinkDiagram(base, arcs, loops)
 
 
-def _graph_components(d: LinkDiagram):
+def graph_components(d: LinkDiagram):
+    """Sorted crossing lists of the connected pieces of the diagram."""
     seen = set()
     comps = []
     for c0 in range(d.n):
@@ -878,16 +964,3 @@ def _code_from(d: LinkDiagram, start):
         code.append(tuple(row))
     return tuple(code)
 
-
-def pd_tuples(d: LinkDiagram):
-    """Arc-labeled crossing tuples: for each crossing the arc ids at
-    slots 0..3 (understrand on 0 and 2)."""
-    label = {}
-    arcs = 0
-    for a in sorted(d.adj):
-        if a in label:
-            continue
-        label[a] = arcs
-        label[d.adj[a]] = arcs
-        arcs += 1
-    return [tuple(label[4 * c + s] for s in range(4)) for c in range(d.n)]

@@ -9,6 +9,10 @@ with deg = (#unit - #x) sits in quantum degree j = deg + r + n_plus
 the writhe uses, so the graded Euler characteristic lands exactly on
 (q + 1/q) times the Jones polynomial as stored next door.
 
+The circles of every state come from diagram.state_circles; a circle
+that a cube edge leaves untouched keeps its plug tuple, so the tuples
+themselves match up the circles at both ends of an edge.
+
 Ranks are computed blockwise: the differential preserves j and raises
 the state weight r by one, so each (r, j) block eliminates on its own,
 with rows kept as python-int bitmasks.
@@ -18,45 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qalinks.diagram import LinkDiagram, crossing_signs
+from qalinks.diagram import LinkDiagram, crossing_signs, state_circles
 from qalinks.invariants import SizeLimitError
 
 CROSSING_CAP = 12
 DIM_CAP = 1 << 22
-
-
-def _circles(d: LinkDiagram, mask: int):
-    """Circle keys of a smoothing state, free loops appended last."""
-    parent = {}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in d.adj.items():
-        union(a, b)
-    for c in range(d.n):
-        if mask >> c & 1:
-            union(4 * c, 4 * c + 3)
-            union(4 * c + 1, 4 * c + 2)
-        else:
-            union(4 * c, 4 * c + 1)
-            union(4 * c + 2, 4 * c + 3)
-    groups = {}
-    for p in parent:
-        groups.setdefault(find(p), []).append(p)
-    keys = sorted(tuple(sorted(g)) for g in groups.values())
-    keys.extend(("loop", i) for i in range(d.loops))
-    return keys
 
 
 def _edge(circ_s, circ_t, t_mask):
@@ -97,7 +67,9 @@ def _assemble(d: LinkDiagram, max_crossings, max_dim):
     signs = crossing_signs(d)
     n_plus = sum(1 for s in signs if s > 0)
     n_minus = d.n - n_plus
-    circles = [_circles(d, mask) for mask in range(1 << d.n)]
+    # circle keys per state, free loops appended last
+    loops = [("loop", i) for i in range(d.loops)]
+    circles = [state_circles(d, mask) + loops for mask in range(1 << d.n)]
     total = sum(1 << len(keys) for keys in circles)
     if total > max_dim:
         raise SizeLimitError("chain dimension %d exceeds the cap %d"

@@ -1,9 +1,10 @@
 """Exact diagram invariants: bracket, Jones, determinant, signature.
 
-The bracket is a plain state sum, so it is capped at BRACKET_CAP
-crossings. Jones polynomials are returned in the square root of the
-usual variable: exponents are doubled, which keeps them integral for
-links with any number of components.
+The bracket is a plain state sum over the circle counts of
+diagram.state_circles, so it is capped at BRACKET_CAP crossings.
+Jones polynomials are returned in the square root of the usual
+variable: exponents are doubled, which keeps them integral for links
+with any number of components.
 
 The determinant and signature come from a checkerboard coloring. The
 Goeritz matrix of the white faces gives the determinant; the signature
@@ -166,71 +167,16 @@ def _delta_power(k, cache={}):
     return cache[k]
 
 
-def smoothing_circles(d, kinds):
-    """Circle count of a full smoothing, free loops included."""
-    n = d.n
-    parent = list(range(4 * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in d.adj.items():
-        if a < b:
-            union(a, b)
-    for c, kind in enumerate(kinds):
-        if kind == "A":
-            union(4 * c, 4 * c + 1)
-            union(4 * c + 2, 4 * c + 3)
-        else:
-            union(4 * c, 4 * c + 3)
-            union(4 * c + 1, 4 * c + 2)
-    circles = len({find(x) for x in range(4 * n)})
-    return circles + d.loops
-
-
 def bracket(d) -> LaurentPoly:
     """Kauffman bracket, normalized to 1 on a single circle."""
     n = d.n
     if n > BRACKET_CAP:
         raise SizeLimitError("%d crossings exceed the bracket cap" % n)
-    arcs = [(a, b) for a, b in d.adj.items() if a < b]
     counts = {}
     for state in range(1 << n):
-        parent = list(range(4 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in arcs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        exp = 0
-        for c in range(n):
-            if state >> c & 1:
-                exp -= 1
-                pairs = ((4 * c, 4 * c + 3), (4 * c + 1, 4 * c + 2))
-            else:
-                exp += 1
-                pairs = ((4 * c, 4 * c + 1), (4 * c + 2, 4 * c + 3))
-            for a, b in pairs:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        circles = len({find(x) for x in range(4 * n)}) if n else 0
-        circles += d.loops
-        key = (exp, circles)
+        # A smoothings weigh +1, B smoothings (set bits) -1
+        key = (n - 2 * state.bit_count(),
+               len(diag.state_circles(d, state)) + d.loops)
         counts[key] = counts.get(key, 0) + 1
     out = LaurentPoly()
     for (exp, circles), mult in counts.items():
@@ -261,7 +207,7 @@ def determinant(d) -> int:
     """Link determinant, via the Goeritz matrix of the white faces."""
     if d.n == 0:
         return 1 if d.loops == 1 else 0
-    if d.loops or len(diag._graph_components(d)) > 1:
+    if d.loops or len(diag.graph_components(d)) > 1:
         return 0
     g, _ = _goeritz_reduced(d, 0)
     return abs(_int_det(g))
@@ -320,7 +266,7 @@ def signature(d) -> int:
         if d.loops == 1:
             return 0
         raise diag.DisconnectedDiagramError("signature needs one diagram")
-    if d.loops or len(diag._graph_components(d)) > 1:
+    if d.loops or len(diag.graph_components(d)) > 1:
         raise diag.DisconnectedDiagramError("signature needs one diagram")
     return _signature_colored(d, 0)
 
@@ -328,17 +274,13 @@ def signature(d) -> int:
 def _signature_colored(d, color):
     g, entries = _goeritz_reduced(d, color)
     sig = _sym_signature([[Fraction(v) for v in row] for row in g])
-    entry = diag.entry_plugs(d)
     mu = 0
-    for c in range(d.n):
+    for c, sign in enumerate(diag.crossing_signs(d)):
         _, _, eta = entries[c]
-        under = next(s for s in (0, 2) if 4 * c + s in entry)
-        over = next(s for s in (1, 3) if 4 * c + s in entry)
-        positive = (over - under) % 4 == 3
         # a crossing pierces the white surface coherently when its sign
         # agrees with its corner type
-        if positive == (eta > 0):
-            mu += 1 if eta > 0 else -1
+        if sign == eta:
+            mu += eta
     return sig - mu
 
 

@@ -16,8 +16,8 @@ The defining recursion quantifies over some diagram of the link, not
 a fixed one, and smoothed diagrams do land in embeddings whose
 additive crossings only appear after sliding a strand.  When no
 crossing of a diagram works directly, the search walks the orbit of
-the diagram under triangle slides (and reductions, when enabled)
-breadth first, trying each member's crossings; the chain of codes
+the diagram under triangle slides and reductions breadth first,
+trying each member's crossings; the chain of codes
 from the original diagram to the member that finally worked is kept
 on the certificate, so verification can replay every hop.
 
@@ -29,16 +29,10 @@ import collections
 from dataclasses import dataclass
 
 from .diagram import (
-    LinkDiagram, _drop_crossings, _expr_tangle, _fuse, _graph_components,
-    canonical_code, crossing_signs, from_code, is_alternating, r3_moves,
-    reduce_once, simplify, smooth,
+    LinkDiagram, canonical_code, crossing_signs, from_code, graph_components,
+    is_alternating, r3_moves, reduce_once, simplify, smooth,
 )
-from .conway import Seq
 from .invariants import determinant
-
-
-class ExtensionSignMismatch(ValueError):
-    """Tangle entries must all carry the sign of the replaced crossing."""
 
 
 class _BudgetStop(Exception):
@@ -73,9 +67,7 @@ class QACertificate:
 @dataclass(frozen=True)
 class SearchConfig:
     node_budget: int = 200000
-    simplify_between_levels: bool = True
     alternating_accelerator: bool = False
-    crossing_order: str = "balanced"  # or "index"
     explore_moves: bool = True  # walk triangle-slide orbits on failure
 
 
@@ -98,7 +90,7 @@ def _smoothing_kinds(d, c):
 def _accelerator_leaf(d):
     """Reduced alternating connected diagrams with crossings."""
     return (d.n >= 1 and d.loops == 0 and is_alternating(d)
-            and reduce_once(d) is None and len(_graph_components(d)) == 1)
+            and reduce_once(d) is None and len(graph_components(d)) == 1)
 
 
 def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
@@ -161,14 +153,13 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             candidates = []
             for c in range(m.n):
                 k0, k1 = _smoothing_kinds(m, c)
-                d0, d1 = smooth(m, c, k0), smooth(m, c, k1)
-                if cfg.simplify_between_levels:
-                    d0, d1 = simplify(d0), simplify(d1)
+                d0 = simplify(smooth(m, c, k0))
+                d1 = simplify(smooth(m, c, k1))
                 t0, t1 = determinant(d0), determinant(d1)
                 if t0 >= 1 and t1 >= 1 and t0 + t1 == det:
                     candidates.append((abs(t0 - t1), c, d0, d1, t0, t1))
-            if cfg.crossing_order == "balanced":
-                candidates.sort(key=lambda t: t[:2])
+            # most balanced determinant split first, then crossing index
+            candidates.sort(key=lambda t: t[:2])
             for _, c, d0, d1, t0, t1 in candidates:
                 c0 = search(d0)
                 if c0 is None:
@@ -181,7 +172,7 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             if not cfg.explore_moves:
                 continue
             neighbours = r3_moves(m)
-            if cfg.simplify_between_levels and reduce_once(m) is not None:
+            if reduce_once(m) is not None:
                 neighbours.append(simplify(m))
             for nb in neighbours:
                 nc = canonical_code(nb)
@@ -192,24 +183,22 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             memo[mcode] = None
         return None
 
-    root = simplify(d) if cfg.simplify_between_levels else d
     try:
-        cert = search(root)
+        cert = search(simplify(d))
     except _BudgetStop:
         return SearchOutcome("budget-exceeded", None, visited[0])
     status = "certified" if cert is not None else "no-certificate"
     return SearchOutcome(status, cert, visited[0])
 
 
-def verify_certificate(cert: QACertificate,
-                       simplify_between_levels: bool = True) -> bool:
+def verify_certificate(cert: QACertificate) -> bool:
     """Re-audit a witness tree from its stored codes alone.
 
     Every determinant is recomputed from the decoded diagrams, the
     additive split is rechecked, and each child code must equal the
-    canonical code of the corresponding smoothing (optionally after
-    reduction).  Each via hop must be a triangle slide of the previous
-    diagram, or its reduction when reductions are enabled; crossing
+    canonical code of the corresponding smoothing, before or after
+    reduction.  Each via hop must be a triangle slide of the previous
+    diagram, or its reduction; crossing
     and children are checked against the final diagram of the chain.
     Accelerated leaves must actually be reduced alternating connected
     diagrams.
@@ -222,7 +211,7 @@ def verify_certificate(cert: QACertificate,
         return False
     for hop in cert.via:
         legal = {canonical_code(m) for m in r3_moves(d)}
-        if simplify_between_levels and reduce_once(d) is not None:
+        if reduce_once(d) is not None:
             legal.add(canonical_code(simplify(d)))
         if hop not in legal:
             return False
@@ -248,12 +237,10 @@ def verify_certificate(cert: QACertificate,
         return False
     for kind, child in zip(_smoothing_kinds(d, c), (c0, c1)):
         s = smooth(d, c, kind)
-        codes = {canonical_code(s)}
-        if simplify_between_levels:
-            codes.add(canonical_code(simplify(s)))
+        codes = {canonical_code(s), canonical_code(simplify(s))}
         if child.diagram_code not in codes:
             return False
-        if not verify_certificate(child, simplify_between_levels):
+        if not verify_certificate(child):
             return False
     return True
 
@@ -284,58 +271,6 @@ def certificate_from_dict(data: dict) -> QACertificate:
         accelerated=bool(data.get("accelerated", False)),
         via=tuple(data.get("via", ())),
     )
-
-
-# --- crossing extension -------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtensionSpec:
-    crossing: int
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries or any(a == 0 for a in self.entries):
-            raise ValueError("entries must be nonzero integers")
-
-
-# Corner frames: where the tangle corners land on the plugs of the
-# replaced crossing, per crossing sign.  With these frames the single
-# tangle with the crossing's own sign glues back to the identical
-# diagram, which pins the convention.
-_FRAME = {
-    1: {"SE": 0, "NE": 1, "NW": 2, "SW": 3},
-    -1: {"SE": 1, "NE": 2, "NW": 3, "SW": 0},
-}
-
-
-def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
-    """Replace a crossing with the twist tangle of spec.entries.
-
-    The entries must all carry the sign of the replaced crossing,
-    making the inserted rational tangle alternate with its
-    surroundings; crossing count grows by sum(|entries|) - 1.
-    """
-    c = spec.crossing
-    if not 0 <= c < d.n:
-        raise ValueError("no crossing %r" % (c,))
-    sign = crossing_signs(d)[c]
-    if any(sign * a < 1 for a in spec.entries):
-        raise ExtensionSignMismatch(
-            "entries %r do not extend a crossing of sign %+d"
-            % (list(spec.entries), sign))
-    t = _expr_tangle(Seq(spec.entries))
-    shift = 4 * d.n
-    arcs = dict(d.adj)
-    for a, b in t.arcs.items():
-        ra = a if isinstance(a, str) else a + shift
-        rb = b if isinstance(b, str) else b + shift
-        arcs[ra] = rb
-    frame = _FRAME[sign]
-    arcs, loops = _fuse(arcs, [(corner, 4 * c + s)
-                               for corner, s in frame.items()])
-    merged = LinkDiagram(d.n + t.n, arcs, d.loops + t.loops + loops)
-    return _drop_crossings(merged, {c})
 
 
 def greene_pretzel_qa(p, q: int) -> bool:

@@ -9,7 +9,7 @@ from qalinks import classify as C
 from qalinks import diagram as D
 from qalinks.conway import MissingParameterError, parse, reduce_montesinos, tangle_fraction
 from qalinks.homology import khovanov_f2
-from qalinks.invariants import LaurentPoly, jones, smoothing_circles
+from qalinks.invariants import LaurentPoly, jones
 
 
 class TestAdequacy:
@@ -35,13 +35,14 @@ class TestAdequacy:
         # (count +1) exactly when that crossing self-touches, and
         # merges two (count -1) otherwise.
         d = D.build(sym)
-        base_a = smoothing_circles(d, "A" * d.n)
-        base_b = smoothing_circles(d, "B" * d.n)
+        all_b = (1 << d.n) - 1
+        base_a = len(D.state_circles(d, 0))
+        base_b = len(D.state_circles(d, all_b))
         plus = all(
-            smoothing_circles(d, "A" * c + "B" + "A" * (d.n - c - 1)) == base_a - 1
+            len(D.state_circles(d, 1 << c)) == base_a - 1
             for c in range(d.n))
         minus = all(
-            smoothing_circles(d, "B" * c + "A" + "B" * (d.n - c - 1)) == base_b - 1
+            len(D.state_circles(d, all_b ^ 1 << c)) == base_b - 1
             for c in range(d.n))
         rep = C.adequacy(d)
         assert (rep.plus_adequate, rep.minus_adequate) == (plus, minus)

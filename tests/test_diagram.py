@@ -132,6 +132,45 @@ class TestBraids:
             D.from_braid([3], 2)
 
 
+def braid_closures(seed, count):
+    """Seeded 3- and 4-strand closures and both smoothings of crossing 0."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.choice((3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(2, 8))]
+        d = D.from_braid(word, strands)
+        out += [d, D.smooth(d, 0, "A"), D.smooth(d, 0, "B")]
+    return out
+
+
+class TestStateCircles:
+    DIAGRAMS = braid_closures(11, 30)
+
+    def test_corpus_has_links_and_loops(self):
+        assert any(D.components(d) > 1 for d in self.DIAGRAMS)
+        assert any(d.loops for d in self.DIAGRAMS)
+
+    def test_circles_partition_the_plugs(self):
+        for d in self.DIAGRAMS:
+            for state in range(1 << d.n):
+                circles = D.state_circles(d, state)
+                plugs = sorted(p for circle in circles for p in circle)
+                assert plugs == list(range(4 * d.n))
+                assert [c[0] for c in circles] == sorted(min(c) for c in circles)
+
+    def test_one_flip_changes_the_count_by_one(self):
+        for d in self.DIAGRAMS:
+            circles = [set(D.state_circles(d, s)) for s in range(1 << d.n)]
+            for state in range(1 << d.n):
+                for c in range(d.n):
+                    other = circles[state ^ 1 << c]
+                    assert abs(len(other) - len(circles[state])) == 1
+                    # untouched circles keep their tuples
+                    assert len(other ^ circles[state]) == 3
+
+
 class TestCorpus:
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_structure(self, sym):

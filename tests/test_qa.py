@@ -6,10 +6,10 @@ import pytest
 
 from qalinks import diagram as D
 from qalinks.invariants import LaurentPoly, determinant, jones
+from qalinks.diagram import ExtensionSignMismatch, ExtensionSpec, extend
 from qalinks.qa import (
-    ExtensionSignMismatch, ExtensionSpec, QACertificate, SearchConfig,
-    certificate_from_dict, certificate_to_dict, extend, greene_pretzel_qa,
-    qa_search, verify_certificate,
+    QACertificate, SearchConfig, certificate_from_dict, certificate_to_dict,
+    greene_pretzel_qa, qa_search, verify_certificate,
 )
 
 
