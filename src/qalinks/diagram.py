@@ -853,20 +853,16 @@ def canonical_code(d: LinkDiagram) -> str:
     """Canonical text form, stable under crossing renumbering and the
     180 degree turn of single crossings. Mirror images get different
     codes. The code lists, for each crossing in canonical order, the
-    plugs its four slots attach to, plus the free loop count."""
+    plugs its four slots attach to, plus the free loop count.
+
+    A start only fixes a crossing and which of its two strand-ends
+    leads (slot 0 or slot 2; the turn maps one onto the other), so two
+    sides per crossing cover every labelling the code must forget."""
     if d.n == 0:
         return "|%d" % d.loops
-    comp = graph_components(d)
-    codes = []
-    for crossings in comp:
-        best = None
-        for c in crossings:
-            for s in range(4):
-                cand = _code_from(d, 4 * c + s)
-                if best is None or cand < best:
-                    best = cand
-        codes.append(best)
-    codes.sort()
+    codes = sorted(
+        min(_code_from(d, c, side) for c in crossings for side in (0, 2))
+        for crossings in graph_components(d))
     body = ";".join(
         ",".join(" ".join("%d.%d" % pq for pq in row) for row in code)
         for code in codes)
@@ -935,32 +931,25 @@ def graph_components(d: LinkDiagram):
     return comps
 
 
-def _code_from(d: LinkDiagram, start):
-    newid = {}
-    offset = {}
-    order = []
-
-    def visit(plug):
-        c = plug // 4
-        if c not in newid:
-            newid[c] = len(order)
-            offset[c] = 0 if plug % 4 in (0, 1) else 2
-            order.append(c)
-
-    visit(start)
-    i = 0
-    while i < len(order):
-        c = order[i]
-        for k in range(4):
-            visit(d.adj[4 * c + (offset[c] + k) % 4])
-        i += 1
+def _code_from(d: LinkDiagram, start, side):
+    """Rows of start's component, read breadth first from slot side of
+    crossing start; a crossing gets its id and slot offset when first
+    seen, which is always before its own row is written."""
+    adj = d.adj
+    newid = {start: 0}
+    offset = {start: side}
+    order = [start]
     code = []
     for c in order:
+        off = offset[c]
         row = []
         for k in range(4):
-            q = d.adj[4 * c + (offset[c] + k) % 4]
-            e = q // 4
-            row.append((newid[e], (q % 4 - offset[e]) % 4))
+            q = adj[4 * c + (off + k) % 4]
+            e = q >> 2
+            if e not in newid:
+                newid[e] = len(order)
+                offset[e] = q & 2
+                order.append(e)
+            row.append((newid[e], (q - offset[e]) % 4))
         code.append(tuple(row))
     return tuple(code)
-

@@ -9,9 +9,13 @@ with deg = (#unit - #x) sits in quantum degree j = deg + r + n_plus
 the writhe uses, so the graded Euler characteristic lands exactly on
 (q + 1/q) times the Jones polynomial as stored next door.
 
-The circles of every state come from diagram.state_circles; a circle
-that a cube edge leaves untouched keeps its plug tuple, so the tuples
-themselves match up the circles at both ends of an edge.
+The circles of every state come once from diagram.state_circles, kept
+as a plug -> circle label list and the smallest plug of each circle;
+free loops take the last d.loops labels.  The edge that flips crossing
+c touches exactly the circles labelled at plugs 4c..4c+3 of each end
+state: one on the source side and two on the target side is a split,
+the other way round a merge.  Every other circle is the same plug set
+at both ends, so it maps through its smallest plug.
 
 Ranks are computed blockwise: the differential preserves j and raises
 the state weight r by one, so each (r, j) block eliminates on its own,
@@ -29,36 +33,6 @@ CROSSING_CAP = 12
 DIM_CAP = 1 << 22
 
 
-def _edge(circ_s, circ_t, t_mask):
-    """Descriptor of one cube edge between adjacent states.
-
-    Returns (t_mask, tbl, kind, specials) where tbl[b] is the image
-    bitmask contributed by source circle b when it is not involved in
-    the merge or split, kind is "m" or "s", and specials carries the
-    involved circle indices: (a, b, m) for a merge of a and b into m,
-    (a, u, v) for a split of a into u and v.
-    """
-    pos_t = {key: i for i, key in enumerate(circ_t)}
-    pos_s = {key: i for i, key in enumerate(circ_s)}
-    tbl = []
-    touched_s = []
-    for b, key in enumerate(circ_s):
-        i = pos_t.get(key)
-        if i is None:
-            touched_s.append(b)
-            tbl.append(0)
-        else:
-            tbl.append(1 << i)
-    touched_t = [i for i, key in enumerate(circ_t) if key not in pos_s]
-    if len(touched_s) == 2 and len(touched_t) == 1:
-        a, b = touched_s
-        return t_mask, tbl, "m", (a, b, touched_t[0])
-    if len(touched_s) == 1 and len(touched_t) == 2:
-        u, v = touched_t
-        return t_mask, tbl, "s", (touched_s[0], u, v)
-    raise AssertionError("cube edge is neither a merge nor a split")
-
-
 def _assemble(d: LinkDiagram, max_crossings, max_dim):
     """Column numbering and aligned differential rows per (r, j) block."""
     if d.n > max_crossings:
@@ -67,58 +41,77 @@ def _assemble(d: LinkDiagram, max_crossings, max_dim):
     signs = crossing_signs(d)
     n_plus = sum(1 for s in signs if s > 0)
     n_minus = d.n - n_plus
-    # circle keys per state, free loops appended last
-    loops = [("loop", i) for i in range(d.loops)]
-    circles = [state_circles(d, mask) + loops for mask in range(1 << d.n)]
-    total = sum(1 << len(keys) for keys in circles)
+    # per state: plug -> circle index, each circle's smallest plug, and
+    # the circle count with the free loops as the last d.loops indices
+    lab, first, ks = [], [], []
+    for mask in range(1 << d.n):
+        circles = state_circles(d, mask)
+        here = [0] * (4 * d.n)
+        for i, circle in enumerate(circles):
+            for p in circle:
+                here[p] = i
+        lab.append(here)
+        first.append([circle[0] for circle in circles])
+        ks.append(len(circles) + d.loops)
+    total = sum(1 << k for k in ks)
     if total > max_dim:
         raise SizeLimitError("chain dimension %d exceeds the cap %d"
                              % (total, max_dim))
     dims = {}
-    col = {}
-    for mask in range(1 << d.n):
-        k = len(circles[mask])
-        base = mask.bit_count() + n_plus - 2 * n_minus
+    col = []
+    for mask, k in enumerate(ks):
         r = mask.bit_count()
+        base = r + n_plus - 2 * n_minus + k
+        here = []
         for x in range(1 << k):
-            key = (r, base + k - 2 * x.bit_count())
+            key = (r, base - 2 * x.bit_count())
             idx = dims.get(key, 0)
             dims[key] = idx + 1
-            col[(mask, x)] = idx
+            here.append(idx)
+        col.append(here)
     rows = {key: [0] * dim for key, dim in dims.items()}
-    for mask in range(1 << d.n):
-        k = len(circles[mask])
+    for mask, k in enumerate(ks):
         r = mask.bit_count()
-        base = r + n_plus - 2 * n_minus
+        base = r + n_plus - 2 * n_minus + k
+        ls = lab[mask]
         img = [0] * (1 << k)
         for c in range(d.n):
             if mask >> c & 1:
                 continue
-            t_mask, tbl, kind, sp = _edge(
-                circles[mask], circles[mask | 1 << c], mask | 1 << c)
+            t_mask = mask | 1 << c
+            lt, ct, kt = lab[t_mask], col[t_mask], ks[t_mask]
+            plugs = range(4 * c, 4 * c + 4)
+            src = sorted({ls[p] for p in plugs})
+            dst = sorted({lt[p] for p in plugs})
+            # image of every circle the edge leaves alone, by its smallest
+            # plug; touched circles transfer nothing
+            tbl = [0 if b in src else 1 << lt[p]
+                   for b, p in enumerate(first[mask])]
+            tbl += [1 << i for i in range(kt - d.loops, kt)]
             # walk labelings in Gray order, one transferred bit per step
-            x, t = 0, 0
-            for g in range(1 << k):
-                if g:
-                    flip = (g & -g).bit_length() - 1
-                    x ^= 1 << flip
-                    t ^= tbl[flip]
-                if kind == "m":
-                    a, b, m = sp
-                    la, lb = x >> a & 1, x >> b & 1
-                    if la and lb:
-                        continue
-                    img[x] ^= 1 << col[(t_mask, t | (la | lb) << m)]
-                else:
-                    a, u, v = sp
-                    if x >> a & 1:
-                        img[x] ^= 1 << col[(t_mask, t | 1 << u | 1 << v)]
+            x = t = 0
+            if len(src) == 2:  # merge of circles a and b into m
+                ab, m = 1 << src[0] | 1 << src[1], 1 << dst[0]
+                for g in range(1 << k):
+                    if g:
+                        flip = (g & -g).bit_length() - 1
+                        x ^= 1 << flip
+                        t ^= tbl[flip]
+                    if x & ab != ab:
+                        img[x] ^= 1 << ct[t | m if x & ab else t]
+            else:  # split of circle a into u and v
+                a, u, v = 1 << src[0], 1 << dst[0], 1 << dst[1]
+                for g in range(1 << k):
+                    if g:
+                        flip = (g & -g).bit_length() - 1
+                        x ^= 1 << flip
+                        t ^= tbl[flip]
+                    if x & a:
+                        img[x] ^= 1 << ct[t | u | v]
                     else:
-                        img[x] ^= 1 << col[(t_mask, t | 1 << u)]
-                        img[x] ^= 1 << col[(t_mask, t | 1 << v)]
-        for x in range(1 << k):
-            j = base + k - 2 * x.bit_count()
-            rows[(r, j)][col[(mask, x)]] = img[x]
+                        img[x] ^= 1 << ct[t | u] ^ 1 << ct[t | v]
+        for x, idx in enumerate(col[mask]):
+            rows[(r, base - 2 * x.bit_count())][idx] = img[x]
     return dims, rows, n_minus
 
 

@@ -114,9 +114,6 @@ class LaurentPoly:
         """Substitute the variable by its inverse."""
         return LaurentPoly({-e: v for e, v in self.c.items()})
 
-    def scale_exponents(self, k):
-        return LaurentPoly({e * k: v for e, v in self.c.items()})
-
     def evaluate(self, x):
         x = Fraction(x)
         total = Fraction(0)
@@ -129,12 +126,6 @@ class LaurentPoly:
 
     def exponents(self):
         return sorted(self.c)
-
-    def min_exp(self):
-        return min(self.c) if self.c else 0
-
-    def max_exp(self):
-        return max(self.c) if self.c else 0
 
     def __str__(self):
         return self.format("x")
@@ -209,34 +200,31 @@ def determinant(d) -> int:
         return 1 if d.loops == 1 else 0
     if d.loops or len(diag.graph_components(d)) > 1:
         return 0
-    g, _ = _goeritz_reduced(d, 0)
+    g, _ = _goeritz(d, 0)
     return abs(_int_det(g))
 
 
-def _corner_faces(d):
-    """corner (c, s) between slots s and s+1 -> face index."""
-    fs, colors = diag.checkerboard(d)
-    corner = {}
-    for i, face in enumerate(fs):
-        for p, q in face:
-            corner[(q // 4, q % 4)] = i
-    return fs, colors, corner
+def _goeritz(d, color):
+    """Reduced Goeritz matrix of the faces of one color, plus etas.
 
-
-def _goeritz_full(d, color):
-    """Goeritz matrix over all white faces plus crossing bookkeeping.
-
-    Returns (matrix, rows, entries) where entries[c] = (i, j, eta) for
-    crossings whose white corners lie in distinct faces.
+    The first such face's row and column are dropped.  etas[c] is the
+    corner type of crossing c: 1 when its two faces of this color sit
+    at corners 0 and 2, -1 at corners 1 and 3.
     """
-    fs, colors, corner = _corner_faces(d)
-    white = [i for i in range(len(fs)) if colors[i] == color]
-    row = {f: i for i, f in enumerate(white)}
-    k = len(white)
+    fs, colors = diag.checkerboard(d)
+    corner = {}  # plug q -> face at the corner between slots q and q+1
+    for i, face in enumerate(fs):
+        for _, q in face:
+            corner[q] = i
+    row = {}
+    for i, col in enumerate(colors):
+        if col == color:
+            row[i] = len(row)
+    k = len(row)
     g = [[0] * k for _ in range(k)]
-    entries = {}
+    etas = []
     for c in range(d.n):
-        faces_here = [corner[(c, s)] for s in range(4)]
+        faces_here = [corner[4 * c + s] for s in range(4)]
         pair = [s for s in range(4) if colors[faces_here[s]] == color]
         if pair == [0, 2]:
             eta = 1
@@ -245,19 +233,13 @@ def _goeritz_full(d, color):
         else:
             raise AssertionError("corners do not alternate")
         i, j = row[faces_here[pair[0]]], row[faces_here[pair[1]]]
-        entries[c] = (i, j, eta)
+        etas.append(eta)
         if i != j:
             g[i][j] -= eta
             g[j][i] -= eta
             g[i][i] += eta
             g[j][j] += eta
-    return g, white, entries
-
-
-def _goeritz_reduced(d, color):
-    g, white, entries = _goeritz_full(d, color)
-    reduced = [row[1:] for row in g[1:]]
-    return reduced, entries
+    return [r[1:] for r in g[1:]], etas
 
 
 def signature(d) -> int:
@@ -272,44 +254,34 @@ def signature(d) -> int:
 
 
 def _signature_colored(d, color):
-    g, entries = _goeritz_reduced(d, color)
+    g, etas = _goeritz(d, color)
     sig = _sym_signature([[Fraction(v) for v in row] for row in g])
-    mu = 0
-    for c, sign in enumerate(diag.crossing_signs(d)):
-        _, _, eta = entries[c]
-        # a crossing pierces the white surface coherently when its sign
-        # agrees with its corner type
-        if sign == eta:
-            mu += eta
+    # a crossing pierces the white surface coherently when its sign
+    # agrees with its corner type
+    mu = sum(eta for sign, eta in zip(diag.crossing_signs(d), etas)
+             if sign == eta)
     return sig - mu
 
 
 def _int_det(m):
+    """Bareiss fraction-free elimination; every division is exact."""
+    m = [list(row) for row in m]
     n = len(m)
-    if n == 0:
-        return 1
-    m = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
+    sign, prev = 1, 1
     for i in range(n):
-        pivot = None
-        for r in range(i, n):
-            if m[r][i]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != i:
-            m[i], m[pivot] = m[pivot], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = 1 / m[i][i]
+        if not m[i][i]:
+            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        p, top = m[i][i], m[i]
         for r in range(i + 1, n):
-            if m[r][i]:
-                f = m[r][i] * inv
-                for cc in range(i, n):
-                    m[r][cc] -= f * m[i][cc]
-    assert det.denominator == 1
-    return int(det)
+            low, f = m[r], m[r][i]
+            for cc in range(i + 1, n):
+                low[cc] = (low[cc] * p - f * top[cc]) // prev
+        prev = p
+    return sign * prev
 
 
 def _sym_signature(m):

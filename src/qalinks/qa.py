@@ -82,9 +82,9 @@ class SearchOutcome:
         return self.status == "certified"
 
 
-def _smoothing_kinds(d, c):
-    """(L0, L infinity) smoothing kinds at crossing c, by sign."""
-    return ("A", "B") if crossing_signs(d)[c] > 0 else ("B", "A")
+def _smoothing_kinds(sign):
+    """(L0, L infinity) smoothing kinds at a crossing of this sign."""
+    return ("A", "B") if sign > 0 else ("B", "A")
 
 
 def _accelerator_leaf(d):
@@ -151,8 +151,8 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             if det is None:
                 det = determinant(m)
             candidates = []
-            for c in range(m.n):
-                k0, k1 = _smoothing_kinds(m, c)
+            for c, sign in enumerate(crossing_signs(m)):
+                k0, k1 = _smoothing_kinds(sign)
                 d0 = simplify(smooth(m, c, k0))
                 d1 = simplify(smooth(m, c, k1))
                 t0, t1 = determinant(d0), determinant(d1)
@@ -219,7 +219,7 @@ def verify_certificate(cert: QACertificate) -> bool:
             d = from_code(hop)
         except ValueError:
             return False
-    if determinant(d) != cert.det:
+    if cert.via and determinant(d) != cert.det:
         return False
     if not cert.children:
         if cert.accelerated:
@@ -235,7 +235,7 @@ def verify_certificate(cert: QACertificate) -> bool:
         return False
     if c0.det < 1 or c1.det < 1 or c0.det + c1.det != cert.det:
         return False
-    for kind, child in zip(_smoothing_kinds(d, c), (c0, c1)):
+    for kind, child in zip(_smoothing_kinds(crossing_signs(d)[c]), (c0, c1)):
         s = smooth(d, c, kind)
         codes = {canonical_code(s), canonical_code(simplify(s))}
         if child.diagram_code not in codes:

@@ -132,6 +132,40 @@ class TestBraids:
             D.from_braid([3], 2)
 
 
+class TestGoldenCodes:
+    """Codes are stored in certificates, so their exact text is pinned."""
+
+    CODES = {
+        "3": "1.1 1.0 2.1 2.0,0.1 0.0 2.3 2.2,0.3 0.2 1.3 1.2|0",
+        "2 2": "1.1 1.0 2.1 3.0,0.1 0.0 3.3 2.2,3.1 0.2 1.3 3.2,"
+               "0.3 2.0 2.3 1.2|0",
+        "2": "1.1 1.0 1.3 1.2,0.1 0.0 0.3 0.2|0",
+        "6*2.2 1.-2 0.-1.-2":
+            "1.0 2.0 2.3 3.1,0.0 3.0 4.1 4.0,0.1 5.0 6.1 0.2,"
+            "1.1 0.3 6.0 7.0,1.3 1.2 8.1 5.1,2.1 4.3 9.1 9.0,"
+            "3.2 2.2 9.3 10.1,3.3 10.0 8.3 8.2,10.3 4.2 7.3 7.2,"
+            "5.3 5.2 10.2 6.2,7.1 6.3 9.2 8.0|0",
+    }
+
+    @pytest.mark.parametrize("sym", sorted(CODES))
+    def test_symbol_codes(self, sym):
+        assert D.canonical_code(build(sym)) == self.CODES[sym]
+
+    def test_braid_closure_with_free_loop(self):
+        d = D.from_braid([1, 1, 1], 3)
+        assert (d.n, d.loops) == (3, 1)
+        assert D.canonical_code(d) == (
+            "1.1 1.0 2.1 2.0,0.1 0.0 2.3 2.2,0.3 0.2 1.3 1.2|1")
+
+    def test_split_pieces_are_sorted(self):
+        d = D.from_braid([1, 1, 1, 3, -3, 3, 3], 5)
+        assert len(D.graph_components(d)) == 2 and d.loops == 1
+        assert D.canonical_code(d) == (
+            "1.0 1.3 2.1 2.0,0.0 3.1 3.0 0.1,0.3 0.2 3.3 3.2,"
+            "1.2 1.1 2.3 2.2;"
+            "1.1 1.0 2.1 2.0,0.1 0.0 2.3 2.2,0.3 0.2 1.3 1.2|1")
+
+
 def braid_closures(seed, count):
     """Seeded 3- and 4-strand closures and both smoothings of crossing 0."""
     rng = random.Random(seed)

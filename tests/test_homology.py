@@ -97,6 +97,26 @@ class TestOracles:
         assert right == {(-i, -j): r for (i, j), r in left.items()}
 
 
+class TestKunneth:
+    """A free loop tensors the complex with V = <1, x>, over F2 exactly:
+    each rank moves to j - 1 and j + 1."""
+
+    # closures with crossings and unused strands, which become free loops
+    WORDS = [([1, 1, 1], 3), ([1, -2, 1, -2], 4), ([2, 2, 2], 4),
+             ([2, -3, 2, 2, -3, 2, -3], 5)]
+
+    @pytest.mark.parametrize("word,strands", WORDS)
+    def test_extra_loop_shifts_by_j_plus_minus_one(self, word, strands):
+        d = D.from_braid(word, strands)
+        assert d.n and d.loops
+        want = {}
+        for (i, j), r in H.khovanov_f2(d).items():
+            for dj in (-1, 1):
+                want[(i, j + dj)] = want.get((i, j + dj), 0) + r
+        more = D.LinkDiagram(d.n, d.adj, d.loops + 1)
+        assert H.khovanov_f2(more) == want
+
+
 class TestThinness:
     def test_alternating_rationals_are_thin(self):
         for sym in ["3", "2 2", "4", "2 1 1", "5", "3 2", "2 3 2", "2 2 2 2"]:

@@ -7,6 +7,9 @@ component shifts by six in the doubled exponent). Comparisons on links
 allow that gauge; knot values are exact.
 """
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -187,6 +190,57 @@ class TestDeterminant:
         sym = " ".join(str(t) for t in terms)
         value = cf_value(list(reversed(terms)))
         assert I.determinant(build(sym)) == abs(value.numerator)
+
+
+def leibniz_det(m):
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(m))
+                         for j in range(i + 1, len(m)))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def random_matrices(seed):
+    """Seeded integer matrices up to 6x6, with singular ones and ones
+    whose leading pivot is zero."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(7):
+        for _ in range(12):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            out.append(m)
+            if n >= 2:
+                z = [row[:] for row in m]
+                z[0][0] = 0
+                out.append(z)
+                s = [row[:] for row in m]
+                i, j = rng.sample(range(n), 2)
+                s[j] = [a + 2 * b for a, b in zip(s[j], s[i])]
+                s[i] = [-3 * a for a in s[j]]
+                out.append(s)
+    return out
+
+
+class TestIntDet:
+    MATRICES = random_matrices(5)
+
+    def test_corpus_has_singular_and_zero_pivot_cases(self):
+        big = [m for m in self.MATRICES if len(m) >= 2]
+        assert sum(leibniz_det(m) == 0 for m in big) >= 20
+        assert sum(m[0][0] == 0 and leibniz_det(m) != 0 for m in big) >= 10
+
+    def test_matches_leibniz(self):
+        for m in self.MATRICES:
+            assert I._int_det(m) == leibniz_det(m), m
+
+    def test_leaves_input_alone(self):
+        m = [[0, 2], [3, 1]]
+        assert I._int_det(m) == -6
+        assert m == [[0, 2], [3, 1]]
 
 
 class TestSignature:

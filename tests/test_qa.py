@@ -1,5 +1,6 @@
 """Certificate search, verification, and the extension operator."""
 
+import hashlib
 import json
 
 import pytest
@@ -224,6 +225,14 @@ def test_certificate_json_round_trip(sym):
     again = certificate_from_dict(json.loads(blob))
     assert again == cert
     assert verify_certificate(again)
+
+
+def test_certificate_text_is_pinned():
+    # stored certificates are this exact JSON text
+    blob = json.dumps(certificate_to_dict(run("6*2.2 1.-2 0.-1.-2").certificate))
+    assert len(blob) == 6422
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "9bccf3ff7fbdc352865d3350aaa05d1db531a4d2620a38f40edcdb37a64d2982")
 
 
 # --- budget and accelerator -------------------------------------------
