@@ -12,6 +12,15 @@ corrects the signature of that matrix by the count of crossings whose
 strands pierce the white surface coherently, following Gordon and
 Litherland. Both checkerboard colors must give the same answer, which
 the tests exercise.
+
+The Goeritz matrix is the Laplacian of the Tait graph on the white
+faces, with one edge of weight eta = +-1 per crossing, and its reduced
+determinant is the weighted count of spanning trees. Smoothing a
+crossing either merges its two white faces (the edge is contracted)
+or keeps them apart (the edge is deleted), so deletion-contraction,
+det G = det(G - e) + eta * det(G / e), gives both smoothing
+determinants of every crossing from the one matrix of the diagram:
+smoothing_determinants takes one principal minor per crossing.
 """
 
 from __future__ import annotations
@@ -200,16 +209,42 @@ def determinant(d) -> int:
         return 1 if d.loops == 1 else 0
     if d.loops or len(diag.graph_components(d)) > 1:
         return 0
-    g, _ = _goeritz(d, 0)
-    return abs(_int_det(g))
+    g, _, _ = _goeritz(d, 0)
+    return abs(_int_det(_minor(g, (0,))))
+
+
+def smoothing_determinants(d):
+    """(det of the A smoothing, det of the B smoothing) at each crossing.
+
+    Equal to the determinants of smooth(d, c, "A") and smooth(d, c, "B"),
+    read off the diagram's one Goeritz matrix.  Corner s lies between
+    slots s and s+1; A joins corners 1 and 3, B joins corners 0 and 2.
+    So where the white faces sit at corners 0 and 2 (eta = 1), B merges
+    them and contracts the crossing's Tait edge while A deletes it; at
+    eta = -1 the roles swap.  The contracted graph's determinant is
+    the minor without both faces' rows; a loop edge (one white face at
+    both corners) contracts to a split diagram, determinant 0.
+    """
+    if d.loops or len(diag.graph_components(d)) != 1:
+        return [(0, 0)] * d.n
+    g, etas, rows = _goeritz(d, 0)
+    whole = _int_det(_minor(g, (0,)))
+    out = []
+    for eta, (i, j) in zip(etas, rows):
+        con = 0 if i == j else _int_det(_minor(g, (i, j)))
+        dele = abs(whole - eta * con)
+        out.append((dele, abs(con)) if eta == 1 else (abs(con), dele))
+    return out
 
 
 def _goeritz(d, color):
-    """Reduced Goeritz matrix of the faces of one color, plus etas.
+    """Goeritz matrix of the faces of one color, with etas and face rows.
 
-    The first such face's row and column are dropped.  etas[c] is the
-    corner type of crossing c: 1 when its two faces of this color sit
-    at corners 0 and 2, -1 at corners 1 and 3.
+    The matrix has one row per face of this color and rows summing to
+    zero; any principal minor one row smaller is the reduced matrix.
+    etas[c] is the corner type of crossing c: 1 when its two faces of
+    this color sit at corners 0 and 2, -1 at corners 1 and 3.  rows[c]
+    holds the rows of those two faces, equal when they are one face.
     """
     fs, colors = diag.checkerboard(d)
     corner = {}  # plug q -> face at the corner between slots q and q+1
@@ -222,7 +257,7 @@ def _goeritz(d, color):
             row[i] = len(row)
     k = len(row)
     g = [[0] * k for _ in range(k)]
-    etas = []
+    etas, rows = [], []
     for c in range(d.n):
         faces_here = [corner[4 * c + s] for s in range(4)]
         pair = [s for s in range(4) if colors[faces_here[s]] == color]
@@ -234,12 +269,19 @@ def _goeritz(d, color):
             raise AssertionError("corners do not alternate")
         i, j = row[faces_here[pair[0]]], row[faces_here[pair[1]]]
         etas.append(eta)
+        rows.append((i, j))
         if i != j:
             g[i][j] -= eta
             g[j][i] -= eta
             g[i][i] += eta
             g[j][j] += eta
-    return [r[1:] for r in g[1:]], etas
+    return g, etas, rows
+
+
+def _minor(g, drop):
+    """g without the rows and columns listed in drop."""
+    keep = [r for r in range(len(g)) if r not in drop]
+    return [[g[r][s] for s in keep] for r in keep]
 
 
 def signature(d) -> int:
@@ -254,8 +296,9 @@ def signature(d) -> int:
 
 
 def _signature_colored(d, color):
-    g, etas = _goeritz(d, color)
-    sig = _sym_signature([[Fraction(v) for v in row] for row in g])
+    g, etas, _ = _goeritz(d, color)
+    sig = _sym_signature([[Fraction(v) for v in row]
+                          for row in _minor(g, (0,))])
     # a crossing pierces the white surface coherently when its sign
     # agrees with its corner type
     mu = sum(eta for sign, eta in zip(diag.crossing_signs(d), etas)

@@ -5,8 +5,13 @@ when some crossing has both smoothings qualifying with determinants
 adding up to the link's own.  The search explores smoothing trees of
 diagrams, memoized by canonical code, pruning crossings whose two
 smoothing determinants do not split the parent determinant into two
-positive parts.  A returned certificate stores the whole witness tree
-and can be re-audited offline from the codes alone.
+positive parts.  Both smoothing determinants of every crossing are
+read off the node's one Goeritz matrix
+(invariants.smoothing_determinants), and smoothed diagrams are built
+only for the crossings the search recurses into.  A returned
+certificate stores the whole witness tree and can be re-audited
+offline from the codes alone; the audit recomputes each determinant
+from the decoded diagrams, independently of that shortcut.
 
 Smoothings of a crossing are ordered by its sign: the 0-smoothing is
 the A-smoothing at a positive crossing and the B-smoothing at a
@@ -32,7 +37,7 @@ from .diagram import (
     LinkDiagram, canonical_code, crossing_signs, from_code, graph_components,
     is_alternating, r3_moves, reduce_once, simplify, smooth,
 )
-from .invariants import determinant
+from .invariants import determinant, smoothing_determinants
 
 
 class _BudgetStop(Exception):
@@ -151,20 +156,19 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             if det is None:
                 det = determinant(m)
             candidates = []
-            for c, sign in enumerate(crossing_signs(m)):
+            for c, (sign, (ta, tb)) in enumerate(
+                    zip(crossing_signs(m), smoothing_determinants(m))):
                 k0, k1 = _smoothing_kinds(sign)
-                d0 = simplify(smooth(m, c, k0))
-                d1 = simplify(smooth(m, c, k1))
-                t0, t1 = determinant(d0), determinant(d1)
+                t0, t1 = (ta, tb) if k0 == "A" else (tb, ta)
                 if t0 >= 1 and t1 >= 1 and t0 + t1 == det:
-                    candidates.append((abs(t0 - t1), c, d0, d1, t0, t1))
+                    candidates.append((abs(t0 - t1), c, k0, k1, t0, t1))
             # most balanced determinant split first, then crossing index
-            candidates.sort(key=lambda t: t[:2])
-            for _, c, d0, d1, t0, t1 in candidates:
-                c0 = search(d0)
+            candidates.sort()
+            for _, c, k0, k1, t0, t1 in candidates:
+                c0 = search(simplify(smooth(m, c, k0)))
                 if c0 is None:
                     continue
-                c1 = search(d1)
+                c1 = search(simplify(smooth(m, c, k1)))
                 if c1 is None:
                     continue
                 leaf = QACertificate(mcode, det, c, (det, t0, t1), (c0, c1))
@@ -201,8 +205,11 @@ def verify_certificate(cert: QACertificate) -> bool:
     diagram, or its reduction; crossing
     and children are checked against the final diagram of the chain.
     Accelerated leaves must actually be reduced alternating connected
-    diagrams.
+    diagrams.  Fields of the wrong type, as JSON can carry, fail the
+    audit rather than raise.
     """
+    if not isinstance(cert.diagram_code, str):
+        return False
     try:
         d = from_code(cert.diagram_code)
     except ValueError:
@@ -225,10 +232,10 @@ def verify_certificate(cert: QACertificate) -> bool:
         if cert.accelerated:
             return _accelerator_leaf(d)
         return d.n == 0 and d.loops == 1 and cert.det == 1
-    if len(cert.children) != 2 or cert.chosen_crossing is None:
+    if len(cert.children) != 2:
         return False
     c = cert.chosen_crossing
-    if not 0 <= c < d.n:
+    if type(c) is not int or not 0 <= c < d.n:
         return False
     c0, c1 = cert.children
     if cert.det_triple != (cert.det, c0.det, c1.det):

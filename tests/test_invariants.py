@@ -243,6 +243,59 @@ class TestIntDet:
         assert m == [[0, 2], [3, 1]]
 
 
+def braid_closures(seed, count):
+    """Seeded 2-4-strand braid closures after simplify, links included."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.choice((2, 3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(2, 10))]
+        out.append(D.simplify(D.from_braid(word, strands)))
+    return out
+
+
+class TestSmoothingDeterminants:
+    def check(self, d):
+        got = I.smoothing_determinants(d)
+        assert len(got) == d.n
+        for c in range(d.n):
+            want = (I.determinant(D.smooth(d, c, "A")),
+                    I.determinant(D.smooth(d, c, "B")))
+            assert got[c] == want, (D.canonical_code(d), c)
+
+    def test_braid_closures(self):
+        ds = [d for d in braid_closures(11, 120) if d.n]
+        assert any(D.components(d) > 1 for d in ds)
+        for d in ds:
+            self.check(d)
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_symbols(self, sym):
+        # includes 5,3,-3, 2 1 1:-2 1 0:2 0 and 6*2.2 1.-2 0.-1.-2
+        self.check(build(sym))
+
+    def test_nugatory_crossing(self):
+        # a kink is a loop edge of one Tait graph and a bridge of the
+        # other: one smoothing splits off a circle, the other keeps det
+        kinked = D.from_braid([1, 1, 1, 2], 3)
+        ds = [build("1"), build("-1"), kinked, D.mirror(kinked)]
+        loop_edges = 0
+        for d in ds:
+            _, _, rows = I._goeritz(d, 0)
+            loop_edges += sum(i == j for i, j in rows)
+            self.check(d)
+            last = I.smoothing_determinants(d)[-1]
+            assert sorted(last) == [0, I.determinant(d)]
+        assert loop_edges >= 2
+
+    def test_split_diagrams_give_zeros(self):
+        for d in (D.from_braid([1, 1, 3, 3], 4), D.from_braid([1, 1, 1], 3)):
+            assert I.determinant(d) == 0
+            assert I.smoothing_determinants(d) == [(0, 0)] * d.n
+            self.check(d)
+
+
 class TestSignature:
     def test_torus_values(self):
         for sym, want in [("3", 2), ("5", 4), ("7", 6), ("2", 1), ("4", 3)]:

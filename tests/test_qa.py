@@ -98,6 +98,27 @@ def test_known_negative_diagrams(sym):
     assert out.status == "no-certificate", sym
 
 
+# (status, nodes_visited) under the default config; a change in the
+# crossing order or the pruning of the search moves the node counts
+SEARCH_PINS = {
+    "3,3,-3": ("no-certificate", 39),
+    "4,3,-3": ("no-certificate", 38),
+    "5,3,-3": ("no-certificate", 119),
+    "-2 1 2,3,3": ("no-certificate", 79),
+    "-2 2,2 2,3": ("no-certificate", 124),
+    "(3,-2 1) (2 1,2)": ("no-certificate", 109),
+    "6*2.2 1.-2 0.-1.-2": ("certified", 104),
+    "6*2.3 1.-2 0.-1.-2": ("certified", 115),
+    "6*2.4 1.-2 0.-1.-2": ("certified", 156),
+}
+
+
+@pytest.mark.parametrize("sym", sorted(SEARCH_PINS))
+def test_search_effort_is_pinned(sym):
+    out = run(sym)
+    assert (out.status, out.nodes_visited) == SEARCH_PINS[sym]
+
+
 def test_split_link_never_certifies():
     # determinant zero admits no additive split into positive parts
     out = run("2,2,-1")
@@ -213,6 +234,16 @@ def test_verify_rejects_illegal_via_hop():
     # dropping the chain strands the leaf check on a crossing diagram
     bald = QACertificate(cert.diagram_code, cert.det)
     assert not verify_certificate(bald)
+
+
+@pytest.mark.parametrize("field, value", [("diagram", 5), ("diagram", None),
+                                          ("crossing", "0"), ("crossing", 0.0),
+                                          ("crossing", True)])
+def test_verify_rejects_wrong_typed_fields(field, value):
+    # JSON can carry any type in any field; the audit answers False
+    data = json.loads(json.dumps(certificate_to_dict(fresh_cert())))
+    data[field] = value
+    assert not verify_certificate(certificate_from_dict(data))
 
 
 # --- serialization ----------------------------------------------------
