@@ -906,7 +906,12 @@ def from_code(code: str) -> LinkDiagram:
     for a, b in arcs.items():
         if a == b or arcs.get(b) != a:
             raise ValueError("plug gluing is not an involution")
-    return LinkDiagram(base, arcs, loops)
+    d = LinkDiagram(base, arcs, loops)
+    # Euler: each piece of a planar diagram has n_i + 2 faces, and a
+    # gluing that needs a handle has fewer
+    if len(faces(d)) != d.n + 2 * len(graph_components(d)):
+        raise ValueError("plug gluing is not planar")
+    return d
 
 
 def graph_components(d: LinkDiagram):

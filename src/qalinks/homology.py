@@ -20,6 +20,9 @@ at both ends, so it maps through its smallest plug.
 Ranks are computed blockwise: the differential preserves j and raises
 the state weight r by one, so each (r, j) block eliminates on its own,
 with rows kept as python-int bitmasks.
+
+The size caps are the module constants CROSSING_CAP and DIM_CAP, read
+at call time; a diagram over either raises SizeLimitError.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ CROSSING_CAP = 12
 DIM_CAP = 1 << 22
 
 
-def _assemble(d: LinkDiagram, max_crossings, max_dim):
+def _assemble(d: LinkDiagram):
     """Column numbering and aligned differential rows per (r, j) block."""
-    if d.n > max_crossings:
+    if d.n > CROSSING_CAP:
         raise SizeLimitError("%d crossings exceed the cap %d"
-                             % (d.n, max_crossings))
+                             % (d.n, CROSSING_CAP))
     signs = crossing_signs(d)
     n_plus = sum(1 for s in signs if s > 0)
     n_minus = d.n - n_plus
@@ -54,9 +57,9 @@ def _assemble(d: LinkDiagram, max_crossings, max_dim):
         first.append([circle[0] for circle in circles])
         ks.append(len(circles) + d.loops)
     total = sum(1 << k for k in ks)
-    if total > max_dim:
+    if total > DIM_CAP:
         raise SizeLimitError("chain dimension %d exceeds the cap %d"
-                             % (total, max_dim))
+                             % (total, DIM_CAP))
     dims = {}
     col = []
     for mask, k in enumerate(ks):
@@ -130,10 +133,9 @@ def _rank(rows) -> int:
     return rank
 
 
-def khovanov_f2(d: LinkDiagram, max_crossings=CROSSING_CAP,
-                max_dim=DIM_CAP) -> dict:
+def khovanov_f2(d: LinkDiagram) -> dict:
     """Ranks of F2 Khovanov homology as a map (i, j) -> dimension."""
-    dims, rows, n_minus = _assemble(d, max_crossings, max_dim)
+    dims, rows, n_minus = _assemble(d)
     rank_d = {key: _rank(rws) for key, rws in rows.items()}
     ranks = {}
     for (r, j), dim in sorted(dims.items()):
@@ -143,10 +145,9 @@ def khovanov_f2(d: LinkDiagram, max_crossings=CROSSING_CAP,
     return ranks
 
 
-def d_squared_zero(d: LinkDiagram, max_crossings=CROSSING_CAP,
-                   max_dim=DIM_CAP) -> bool:
+def d_squared_zero(d: LinkDiagram) -> bool:
     """Check d∘d = 0 on the assembled differential, block by block."""
-    dims, rows, _ = _assemble(d, max_crossings, max_dim)
+    dims, rows, _ = _assemble(d)
     for (r, j), rws in rows.items():
         nxt = rows.get((r + 1, j))
         if nxt is None:

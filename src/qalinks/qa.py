@@ -20,22 +20,22 @@ negative one, so a diagram and its mirror produce mirrored trees.
 The defining recursion quantifies over some diagram of the link, not
 a fixed one, and smoothed diagrams do land in embeddings whose
 additive crossings only appear after sliding a strand.  When no
-crossing of a diagram works directly, the search walks the orbit of
-the diagram under triangle slides and reductions breadth first,
-trying each member's crossings; the chain of codes
-from the original diagram to the member that finally worked is kept
-on the certificate, so verification can replay every hop.
+crossing of a diagram works directly, the search always walks the
+orbit of the diagram under triangle slides and reductions breadth
+first, trying each member's crossings; the chain of codes from the
+original diagram to the member that finally worked is kept on the
+certificate, so verification can replay every hop.
 
 Negative outcomes are statements about the orbit the search explored,
 not about the underlying link.
 """
 
 import collections
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagram import (
-    LinkDiagram, canonical_code, crossing_signs, from_code, graph_components,
-    is_alternating, r3_moves, reduce_once, simplify, smooth,
+    LinkDiagram, canonical_code, crossing_signs, from_code, r3_moves,
+    reduce_once, simplify, smooth,
 )
 from .invariants import determinant, smoothing_determinants
 
@@ -49,10 +49,9 @@ class QACertificate:
     """Witness tree node; leaves are 0-crossing unknot diagrams.
 
     children holds the certificates of the two smoothings in the
-    (L0, L infinity) order fixed by the crossing sign; det_triple
-    repeats the three determinants for audit.  Accelerated leaves
-    (reduced alternating diagrams accepted without recursion) are
-    marked and only appear when the search was asked for them.
+    (L0, L infinity) order fixed by the crossing sign, each under the
+    canonical code of the reduced smoothing; det_triple repeats the
+    three determinants for audit.
 
     via lists the canonical codes of the diagrams hopped through
     (triangle slides, or a reduction) to reach the embedding whose
@@ -65,15 +64,13 @@ class QACertificate:
     chosen_crossing: int = None
     det_triple: tuple = None
     children: tuple = ()
-    accelerated: bool = False
     via: tuple = ()
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """node_budget caps the orbit members the whole search may visit."""
     node_budget: int = 200000
-    alternating_accelerator: bool = False
-    explore_moves: bool = True  # walk triangle-slide orbits on failure
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,13 @@ def _smoothing_kinds(sign):
     return ("A", "B") if sign > 0 else ("B", "A")
 
 
-def _accelerator_leaf(d):
-    """Reduced alternating connected diagrams with crossings."""
-    return (d.n >= 1 and d.loops == 0 and is_alternating(d)
-            and reduce_once(d) is None and len(graph_components(d)) == 1)
+def _hops(d):
+    """Codes one orbit step from d: its triangle slides, then its
+    reduction when it has one."""
+    hops = [canonical_code(m) for m in r3_moves(d)]
+    if reduce_once(d) is not None:
+        hops.append(canonical_code(simplify(d)))
+    return hops
 
 
 def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
@@ -112,15 +112,12 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
     memo = {}
     visited = [0]
 
-    def settle(code, via, cert_for_member):
+    def settle(code, via, cert):
         # record the witness both for the member it was found at and,
         # rebased through the hop chain, for the orbit's entry code
-        memo[cert_for_member.diagram_code] = cert_for_member
-        cert = cert_for_member
+        memo[cert.diagram_code] = cert
         if via:
-            cert = QACertificate(code, cert.det, cert.chosen_crossing,
-                                 cert.det_triple, cert.children,
-                                 cert.accelerated, via + cert.via)
+            cert = replace(cert, diagram_code=code, via=via + cert.via)
         memo[code] = cert
         return cert
 
@@ -150,9 +147,6 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
                 if m.loops == 1:
                     return settle(code, via, QACertificate(mcode, 1))
                 continue
-            if cfg.alternating_accelerator and _accelerator_leaf(m):
-                leaf = QACertificate(mcode, determinant(m), accelerated=True)
-                return settle(code, via, leaf)
             if det is None:
                 det = determinant(m)
             candidates = []
@@ -173,13 +167,7 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
                     continue
                 leaf = QACertificate(mcode, det, c, (det, t0, t1), (c0, c1))
                 return settle(code, via, leaf)
-            if not cfg.explore_moves:
-                continue
-            neighbours = r3_moves(m)
-            if reduce_once(m) is not None:
-                neighbours.append(simplify(m))
-            for nb in neighbours:
-                nc = canonical_code(nb)
+            for nc in _hops(m):
                 if nc not in seen:
                     seen.add(nc)
                     queue.append((nc, via + (nc,)))
@@ -200,13 +188,12 @@ def verify_certificate(cert: QACertificate) -> bool:
 
     Every determinant is recomputed from the decoded diagrams, the
     additive split is rechecked, and each child code must equal the
-    canonical code of the corresponding smoothing, before or after
-    reduction.  Each via hop must be a triangle slide of the previous
-    diagram, or its reduction; crossing
-    and children are checked against the final diagram of the chain.
-    Accelerated leaves must actually be reduced alternating connected
-    diagrams.  Fields of the wrong type, as JSON can carry, fail the
-    audit rather than raise.
+    canonical code of the reduced smoothing, the only form the search
+    writes.  Each via hop must be one orbit step of the previous
+    diagram, the same step the search takes; crossing and children are
+    checked against the final diagram of the chain, and a leaf must be
+    the 0-crossing unknot.  Fields of the wrong type, as JSON can
+    carry, fail the audit rather than raise.
     """
     if not isinstance(cert.diagram_code, str):
         return False
@@ -217,20 +204,12 @@ def verify_certificate(cert: QACertificate) -> bool:
     if determinant(d) != cert.det:
         return False
     for hop in cert.via:
-        legal = {canonical_code(m) for m in r3_moves(d)}
-        if reduce_once(d) is not None:
-            legal.add(canonical_code(simplify(d)))
-        if hop not in legal:
+        if hop not in _hops(d):
             return False
-        try:
-            d = from_code(hop)
-        except ValueError:
-            return False
+        d = from_code(hop)
     if cert.via and determinant(d) != cert.det:
         return False
     if not cert.children:
-        if cert.accelerated:
-            return _accelerator_leaf(d)
         return d.n == 0 and d.loops == 1 and cert.det == 1
     if len(cert.children) != 2:
         return False
@@ -240,22 +219,16 @@ def verify_certificate(cert: QACertificate) -> bool:
     c0, c1 = cert.children
     if cert.det_triple != (cert.det, c0.det, c1.det):
         return False
-    if c0.det < 1 or c1.det < 1 or c0.det + c1.det != cert.det:
-        return False
     for kind, child in zip(_smoothing_kinds(crossing_signs(d)[c]), (c0, c1)):
-        s = smooth(d, c, kind)
-        codes = {canonical_code(s), canonical_code(simplify(s))}
-        if child.diagram_code not in codes:
+        code = canonical_code(simplify(smooth(d, c, kind)))
+        if child.diagram_code != code or not verify_certificate(child):
             return False
-        if not verify_certificate(child):
-            return False
-    return True
+    # both child determinants are now audited integers
+    return c0.det >= 1 and c1.det >= 1 and c0.det + c1.det == cert.det
 
 
 def certificate_to_dict(cert: QACertificate) -> dict:
     out = {"diagram": cert.diagram_code, "det": cert.det}
-    if cert.accelerated:
-        out["accelerated"] = True
     if cert.via:
         out["via"] = list(cert.via)
     if cert.children:
@@ -266,17 +239,21 @@ def certificate_to_dict(cert: QACertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> QACertificate:
-    children = tuple(certificate_from_dict(ch)
-                     for ch in data.get("children", ()))
-    det_triple = data.get("det_triple")
+    """Inverse of certificate_to_dict.  Only the JSON shape is checked
+    here (ValueError); every value is left to verify_certificate."""
+    if not isinstance(data, dict) or not {"diagram", "det"} <= data.keys():
+        raise ValueError("a certificate node needs 'diagram' and 'det'")
+    children, via, triple = (data.get(key, ())
+                             for key in ("children", "via", "det_triple"))
+    if not all(isinstance(x, (list, tuple)) for x in (children, via, triple)):
+        raise ValueError("'children', 'via' and 'det_triple' must be arrays")
     return QACertificate(
         diagram_code=data["diagram"],
         det=data["det"],
         chosen_crossing=data.get("crossing"),
-        det_triple=tuple(det_triple) if det_triple else None,
-        children=children,
-        accelerated=bool(data.get("accelerated", False)),
-        via=tuple(data.get("via", ())),
+        det_triple=tuple(triple) or None,
+        children=tuple(certificate_from_dict(ch) for ch in children),
+        via=tuple(via),
     )
 
 

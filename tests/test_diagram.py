@@ -165,6 +165,15 @@ class TestGoldenCodes:
             "1.2 1.1 2.3 2.2;"
             "1.1 1.0 2.1 2.0,0.1 0.0 2.3 2.2,0.3 0.2 1.3 1.2|1")
 
+    def test_non_planar_gluing_is_rejected(self):
+        # the trefoil code with two arcs swapped: still an involution on
+        # one connected piece, but 3 faces where a planar one has 5
+        good = self.CODES["3"]
+        bad = "1.0 1.1 2.1 2.0,0.0 0.1 2.3 2.2,0.3 0.2 1.3 1.2|0"
+        assert D.canonical_code(D.from_code(good)) == good
+        with pytest.raises(ValueError):
+            D.from_code(bad)
+
 
 def braid_closures(seed, count):
     """Seeded 3- and 4-strand closures and both smoothings of crossing 0."""

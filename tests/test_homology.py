@@ -147,9 +147,10 @@ class TestLimits:
         with pytest.raises(SizeLimitError):
             H.khovanov_f2(D.build("7,3,3"))
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(H, "DIM_CAP", 8)
         with pytest.raises(SizeLimitError):
-            H.khovanov_f2(D.build("2 2"), max_dim=8)
+            H.khovanov_f2(D.build("2 2"))
 
 
 @st.composite

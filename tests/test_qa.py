@@ -130,11 +130,10 @@ def test_split_link_never_certifies():
 
 def test_polyhedral_diagram_needs_slides():
     # this 11-crossing diagram certifies, but one subtree only unlocks
-    # after triangle slides; with orbits disabled the search dead-ends
-    sym = "6*2.2 1.-2 0.-1.-2"
-    assert run(sym, explore_moves=False).status == "no-certificate"
-    out = run(sym)
+    # after triangle slides, so some node of its witness hops
+    out = run("6*2.2 1.-2 0.-1.-2")
     assert out.certified
+    assert any(node.via for node in walk(out.certificate))
     assert verify_certificate(out.certificate)
 
 
@@ -236,6 +235,39 @@ def test_verify_rejects_illegal_via_hop():
     assert not verify_certificate(bald)
 
 
+def test_verify_rejects_unreduced_child_code():
+    # the search files every child under its reduced smoothing's code;
+    # the unreduced code, hopping to the unknot by a reduction, is not
+    # that form
+    cert = fresh_cert("3")
+    d = D.from_code(cert.diagram_code)
+    c0, c1 = cert.children
+    assert c1.det == 1 and c1.diagram_code == "|1"
+    raw = [s for s in (D.smooth(d, cert.chosen_crossing, k) for k in "AB")
+           if D.canonical_code(D.simplify(s)) == c1.diagram_code][0]
+    loose = QACertificate(D.canonical_code(raw), 1, via=(c1.diagram_code,))
+    assert loose.diagram_code != c1.diagram_code
+    assert verify_certificate(loose)
+    bad = QACertificate(cert.diagram_code, cert.det, cert.chosen_crossing,
+                        cert.det_triple, (c0, loose))
+    assert not verify_certificate(bad)
+
+
+def test_verify_rejects_accelerated_leaf():
+    # a reduced alternating diagram is not a leaf, whatever its JSON says
+    d = D.simplify(D.build("2 2 2 2"))
+    data = {"diagram": D.canonical_code(d), "det": determinant(d),
+            "accelerated": True}
+    assert not verify_certificate(certificate_from_dict(data))
+
+
+def test_verify_rejects_non_planar_code():
+    # the trefoil with two arcs swapped: connected, 3 crossings, but
+    # only 3 faces, so it needs a handle
+    code = "1.0 1.1 2.1 2.0,0.0 0.1 2.3 2.2,0.3 0.2 1.3 1.2|0"
+    assert not verify_certificate(QACertificate(code, 3))
+
+
 @pytest.mark.parametrize("field, value", [("diagram", 5), ("diagram", None),
                                           ("crossing", "0"), ("crossing", 0.0),
                                           ("crossing", True)])
@@ -247,6 +279,21 @@ def test_verify_rejects_wrong_typed_fields(field, value):
 
 
 # --- serialization ----------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [("diagram", None),
+                                          ("children", "ab"),
+                                          ("det_triple", 3)])
+def test_from_dict_rejects_malformed_json(field, value):
+    # None deletes the key; a wrong shape is a ValueError, not whatever
+    # the first failing operation raises
+    data = certificate_to_dict(fresh_cert())
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    with pytest.raises(ValueError):
+        certificate_from_dict(data)
 
 
 @pytest.mark.parametrize("sym", ["2", "3 2", "2,3,-1", "6*2.2 1.-2 0.-1.-2"])
@@ -266,7 +313,7 @@ def test_certificate_text_is_pinned():
         "9bccf3ff7fbdc352865d3350aaa05d1db531a4d2620a38f40edcdb37a64d2982")
 
 
-# --- budget and accelerator -------------------------------------------
+# --- budget -----------------------------------------------------------
 
 
 def test_budget_exhaustion_is_reported():
@@ -279,23 +326,6 @@ def test_budget_exhaustion_is_reported():
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         run("2", node_budget=0)
-
-
-def test_accelerator_stops_at_alternating_diagrams():
-    out = run("2 2 2 2", alternating_accelerator=True)
-    assert out.certified
-    cert = out.certificate
-    assert cert.accelerated and cert.children == ()
-    assert cert.det == determinant(D.build("2 2 2 2"))
-    assert verify_certificate(cert)
-    assert out.nodes_visited < qa_search(D.build("2 2 2 2")).nodes_visited
-
-
-def test_accelerated_flag_cannot_be_forged():
-    # a non-alternating diagram marked accelerated must fail the audit
-    d = D.simplify(D.build("3,3,-3"))
-    code = D.canonical_code(d)
-    assert not verify_certificate(QACertificate(code, 9, accelerated=True))
 
 
 # --- crossing extension -----------------------------------------------
