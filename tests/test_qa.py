@@ -253,12 +253,14 @@ def test_verify_rejects_unreduced_child_code():
     assert not verify_certificate(bad)
 
 
-def test_verify_rejects_accelerated_leaf():
-    # a reduced alternating diagram is not a leaf, whatever its JSON says
-    d = D.simplify(D.build("2 2 2 2"))
-    data = {"diagram": D.canonical_code(d), "det": determinant(d),
-            "accelerated": True}
-    assert not verify_certificate(certificate_from_dict(data))
+def test_accelerated_flag_cannot_be_forged():
+    # a reduced diagram with crossings is not a leaf, whatever its JSON
+    # says, alternating or not
+    for sym in ("2 2 2 2", "3,3,-3"):
+        d = D.simplify(D.build(sym))
+        data = {"diagram": D.canonical_code(d), "det": determinant(d),
+                "accelerated": True}
+        assert not verify_certificate(certificate_from_dict(data))
 
 
 def test_verify_rejects_non_planar_code():
