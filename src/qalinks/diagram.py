@@ -855,16 +855,29 @@ def canonical_code(d: LinkDiagram) -> str:
     codes. The code lists, for each crossing in canonical order, the
     plugs its four slots attach to, plus the free loop count.
 
-    A start only fixes a crossing and which of its two strand-ends
-    leads (slot 0 or slot 2; the turn maps one onto the other), so two
-    sides per crossing cover every labelling the code must forget."""
+    A start fixes a crossing and which of its two strand-ends leads
+    (slot 0 or slot 2; the turn maps one onto the other), so two sides
+    per crossing cover every labelling the code must forget. Each
+    piece is read breadth first from all its starts in lockstep: row
+    i is written for every surviving start, and only the starts whose
+    row is smallest go on to row i + 1 (Weinberg's row-by-row minimal
+    code for planar maps). Every start writes one row per crossing,
+    so the rows left at the end are the smallest code of the piece;
+    the pieces are then sorted.
+
+    The code is unoriented: a LinkDiagram stores no orientation, so a
+    link, its reverse and a link with some components reversed share
+    one code. Nothing that depends on orientation (signature, Jones,
+    Khovanov gradings, crossing signs) may be cached under it; the
+    determinant may."""
     if d.n == 0:
         return "|%d" % d.loops
-    codes = sorted(
-        min(_code_from(d, c, side) for c in crossings for side in (0, 2))
-        for crossings in graph_components(d))
+    codes = sorted(_piece_code(d.adj, crossings)
+                   for crossings in graph_components(d))
+    # a plug pair (crossing id, slot) is held as 4 * id + slot, which
+    # keeps the order of the pairs
     body = ";".join(
-        ",".join(" ".join("%d.%d" % pq for pq in row) for row in code)
+        ",".join(" ".join("%d.%d" % divmod(v, 4) for v in row) for row in code)
         for code in codes)
     return body + "|%d" % d.loops
 
@@ -936,25 +949,35 @@ def graph_components(d: LinkDiagram):
     return comps
 
 
-def _code_from(d: LinkDiagram, start, side):
-    """Rows of start's component, read breadth first from slot side of
-    crossing start; a crossing gets its id and slot offset when first
-    seen, which is always before its own row is written."""
-    adj = d.adj
-    newid = {start: 0}
-    offset = {start: side}
-    order = [start]
+def _piece_code(adj, crossings):
+    """Smallest code of one piece, read from all its starts in lockstep.
+
+    A start's state maps each crossing it has seen to 4 * id + offset
+    (offset 0 or 2 is the slot its row begins at), and lists the seen
+    crossings in id order; a crossing is seen, and gets its id, before
+    its own row is written. Turning slots by offset 2 flips bit 1, so
+    a plug q of crossing e reads as label[e] ^ (q & 3)."""
+    states = [({c: side}, [c]) for c in crossings for side in (0, 2)]
     code = []
-    for c in order:
-        off = offset[c]
-        row = []
-        for k in range(4):
-            q = adj[4 * c + (off + k) % 4]
-            e = q >> 2
-            if e not in newid:
-                newid[e] = len(order)
-                offset[e] = q & 2
-                order.append(e)
-            row.append((newid[e], (q - offset[e]) % 4))
-        code.append(tuple(row))
-    return tuple(code)
+    for i in range(len(crossings)):
+        best = None
+        for state in states:
+            label, order = state
+            c = order[i]
+            off = label[c] & 2
+            row = []
+            for s in (off, off + 1, off ^ 2, (off ^ 2) + 1):
+                q = adj[4 * c + s]
+                e = q >> 2
+                x = label.get(e)
+                if x is None:
+                    x = label[e] = 4 * len(order) + (q & 2)
+                    order.append(e)
+                row.append(x ^ (q & 3))
+            if best is None or row < best:
+                best, keep = row, [state]
+            elif row == best:
+                keep.append(state)
+        states = keep
+        code.append(best)
+    return code

@@ -44,7 +44,8 @@ class _BudgetStop(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# slots: callers keep whole trees of these, and a node is small
+@dataclass(frozen=True, slots=True)
 class QACertificate:
     """Witness tree node; leaves are 0-crossing unknot diagrams.
 
@@ -193,9 +194,10 @@ def verify_certificate(cert: QACertificate) -> bool:
     diagram, the same step the search takes; crossing and children are
     checked against the final diagram of the chain, and a leaf must be
     the 0-crossing unknot.  Fields of the wrong type, as JSON can
-    carry, fail the audit rather than raise.
+    carry, fail the audit rather than raise; every determinant must be
+    an int, since True == 1 and 3.0 == 3 would otherwise pass.
     """
-    if not isinstance(cert.diagram_code, str):
+    if not isinstance(cert.diagram_code, str) or type(cert.det) is not int:
         return False
     try:
         d = from_code(cert.diagram_code)
@@ -218,6 +220,8 @@ def verify_certificate(cert: QACertificate) -> bool:
         return False
     c0, c1 = cert.children
     if cert.det_triple != (cert.det, c0.det, c1.det):
+        return False
+    if any(type(x) is not int for x in cert.det_triple):
         return False
     for kind, child in zip(_smoothing_kinds(crossing_signs(d)[c]), (c0, c1)):
         code = canonical_code(simplify(smooth(d, c, kind)))

@@ -13,6 +13,10 @@ tangle:
 det of the numerator closure of T is |n|. The rules are the classical
 series/parallel (Kirchhoff) identities for the Goeritz determinant, so
 they hold for every algebraic (non-polyhedral) symbol.
+
+brute_canonical_code reads a diagram's code from every start to the
+end and keeps the smallest, the definition that the package's
+lockstep read prunes.
 """
 
 from fractions import Fraction
@@ -100,3 +104,50 @@ def symbol_det(text) -> int:
     """Determinant of the link named by an algebraic Conway symbol."""
     n, _ = tangle_pair(conway.parse(text))
     return abs(n)
+
+
+def code_from(d, start, side):
+    """Rows of start's piece, read breadth first from slot side of
+    crossing start; a crossing gets its id and slot offset when first
+    seen."""
+    newid = {start: 0}
+    offset = {start: side}
+    order = [start]
+    code = []
+    for c in order:
+        row = []
+        for k in range(4):
+            q = d.adj[4 * c + (offset[c] + k) % 4]
+            e = q // 4
+            if e not in newid:
+                newid[e] = len(order)
+                offset[e] = q % 4 - q % 2
+                order.append(e)
+            row.append((newid[e], (q - offset[e]) % 4))
+        code.append(tuple(row))
+    return tuple(code)
+
+
+def brute_canonical_code(d) -> str:
+    """canonical_code by brute force: each piece's code is the min of
+    its full codes from all starts (crossing, slot 0 or 2), and the
+    pieces are sorted."""
+    pieces, covered = [], set()
+    for c0 in range(d.n):
+        if c0 in covered:
+            continue
+        piece, stack = {c0}, [c0]
+        while stack:
+            c = stack.pop()
+            for s in range(4):
+                e = d.adj[4 * c + s] // 4
+                if e not in piece:
+                    piece.add(e)
+                    stack.append(e)
+        covered |= piece
+        pieces.append(min(code_from(d, c, side)
+                          for c in piece for side in (0, 2)))
+    body = ";".join(
+        ",".join(" ".join("%d.%d" % pq for pq in row) for row in code)
+        for code in sorted(pieces))
+    return body + "|%d" % d.loops

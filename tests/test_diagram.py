@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from qalinks import conway
 from qalinks import diagram as D
 
+from oracles import brute_canonical_code, code_from
+
 
 SYMBOLS = [
     "3", "2 2", "2 1 1", "4", "2", "5", "2 1 1 1 1",
@@ -36,6 +38,33 @@ def shuffled(d, seed):
         return 4 * perm[c] + s
 
     return D.LinkDiagram(d.n, {m(a): m(b) for a, b in d.adj.items()}, d.loops)
+
+
+def turned(d, seed):
+    """The same diagram with random crossings turned by 180 degrees:
+    slot s becomes s + 2 at both ends of every arc."""
+    rng = random.Random(seed)
+    flip = {c for c in range(d.n) if rng.random() < 0.5}
+
+    def m(p):
+        c, s = divmod(p, 4)
+        return 4 * c + (s + 2) % 4 if c in flip else p
+
+    return D.LinkDiagram(d.n, {m(a): m(b) for a, b in d.adj.items()}, d.loops)
+
+
+def mixed_closures(seed, count):
+    """Seeded 2- to 4-strand closures over a random set of generators,
+    so some have free loops or split pieces; links come with them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(2, 4)
+        gens = [g for g in range(1, strands) if rng.random() < 0.7] or [1]
+        word = [rng.choice((1, -1)) * rng.choice(gens)
+                for _ in range(rng.randint(1, 9))]
+        out.append(D.from_braid(word, strands))
+    return out
 
 
 class TestSmallDiagrams:
@@ -214,6 +243,46 @@ class TestStateCircles:
                     assert len(other ^ circles[state]) == 3
 
 
+class TestCanonicalCodeOracle:
+    """The lockstep code equals the min over full reads from every start."""
+
+    CLOSURES = mixed_closures(5, 120)
+    # 10***2, whose minimal start is unique, is among the SYMBOLS
+    SYMMETRIC = ([D.from_braid([1] * k, 2) for k in range(1, 9)]
+                 + [D.from_braid([1, 2] * k, 3) for k in range(1, 6)]
+                 + [build(basis) for basis in conway.BASIS_VERTICES])
+
+    @staticmethod
+    def derived(d):
+        out = [d, D.simplify(d)] + D.r3_moves(d)
+        for c in range(d.n):
+            out += [D.smooth(d, c, kind) for kind in "AB"]
+        return out
+
+    def test_corpus_has_links_loops_and_split_pieces(self):
+        assert any(D.components(d) > 1 and not d.loops for d in self.CLOSURES)
+        assert any(d.loops for d in self.CLOSURES)
+        assert any(len(D.graph_components(d)) > 1 for d in self.CLOSURES)
+        assert any(D.r3_moves(d) for d in self.CLOSURES)
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_symbols(self, sym):
+        d = build(sym)
+        assert D.canonical_code(d) == brute_canonical_code(d)
+
+    def test_closures_and_their_moves(self):
+        for d in self.CLOSURES:
+            for e in self.derived(d):
+                assert D.canonical_code(e) == brute_canonical_code(e)
+
+    def test_symmetric_inputs(self):
+        for d in self.SYMMETRIC:
+            # several starts tie on every row up to the last one
+            codes = [code_from(d, c, side) for c in range(d.n) for side in (0, 2)]
+            assert codes.count(min(codes)) > 1
+            assert D.canonical_code(d) == brute_canonical_code(d)
+
+
 class TestCorpus:
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_structure(self, sym):
@@ -230,6 +299,19 @@ class TestCorpus:
         code = D.canonical_code(d)
         for seed in (1, 2, 3):
             assert D.canonical_code(shuffled(d, seed)) == code
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_code_stable_under_turns(self, sym):
+        d = build(sym)
+        code = D.canonical_code(d)
+        for seed in (1, 2, 3):
+            assert D.canonical_code(turned(d, seed)) == code
+            assert D.canonical_code(turned(shuffled(d, seed), seed)) == code
+
+    def test_closure_codes_stable_under_turns(self):
+        for i, d in enumerate(mixed_closures(9, 60)):
+            code = D.canonical_code(d)
+            assert D.canonical_code(turned(d, i)) == code
 
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_mirror_involution(self, sym):

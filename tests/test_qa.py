@@ -272,12 +272,34 @@ def test_verify_rejects_non_planar_code():
 
 @pytest.mark.parametrize("field, value", [("diagram", 5), ("diagram", None),
                                           ("crossing", "0"), ("crossing", 0.0),
-                                          ("crossing", True)])
+                                          ("crossing", True),
+                                          ("det", True), ("det", 3.0)])
 def test_verify_rejects_wrong_typed_fields(field, value):
     # JSON can carry any type in any field; the audit answers False
     data = json.loads(json.dumps(certificate_to_dict(fresh_cert())))
     data[field] = value
     assert not verify_certificate(certificate_from_dict(data))
+
+
+def test_verify_rejects_determinants_of_equal_value_and_wrong_type():
+    # True == 1 and 3.0 == 3, so only a type check tells these apart
+    assert verify_certificate(certificate_from_dict({"diagram": "|1", "det": 1}))
+    assert not verify_certificate(
+        certificate_from_dict({"diagram": "|1", "det": True}))
+
+    def floats(node):
+        out = dict(node, det=float(node["det"]))
+        if "children" in node:
+            out["det_triple"] = [float(x) for x in node["det_triple"]]
+            out["children"] = [floats(ch) for ch in node["children"]]
+        return out
+
+    data = certificate_to_dict(fresh_cert("3"))
+    assert data["det"] == 3 and verify_certificate(certificate_from_dict(data))
+    assert not verify_certificate(certificate_from_dict(floats(data)))
+    for key in ("det", "det_triple"):
+        assert not verify_certificate(certificate_from_dict(
+            dict(data, **{key: floats(data)[key]})))
 
 
 # --- serialization ----------------------------------------------------
