@@ -1,4 +1,4 @@
-"""Khovanov homology over F2 from the cube of resolutions.
+"""Khovanov homology over F2 from the marked-circle subcomplex.
 
 The zero smoothing of every crossing is the A smoothing (plugs (0,1)
 and (2,3) joined), the one smoothing is B, matching the bracket
@@ -8,6 +8,20 @@ with deg = (#unit - #x) sits in quantum degree j = deg + r + n_plus
 - 2*n_minus.  Crossing signs come from the same traversal orientation
 the writhe uses, so the graded Euler characteristic lands exactly on
 (q + 1/q) times the Jones polynomial as stored next door.
+
+Only the generators whose marked circle is labelled x are built.  The
+marked circle is circle 0 of every state: the circle through plug 0
+when there are crossings (state_circles orders circles by their
+smallest plug), else the first free loop.  These generators span a
+subcomplex, because no edge takes the x off the marked circle: a merge
+sends x⊗1 to x and x⊗x to 0, a split sends x to x⊗x, and the circle
+the edge makes from the marked one is again the marked circle.
+Over F2 unreduced Khovanov homology is this reduced homology tensored
+with F2[x]/x^2 (A. Shumakovitch, Torsion of the Khovanov homology,
+arXiv:math/0405474, Cor. 3.2.C): the quotient, with the marked circle
+at 1, is the same complex two quantum degrees up.  So each reduced
+rank at (i, j) is counted at j and again at j + 2.  The empty diagram
+has no circle to mark; its table {(0, 0): 1} is returned as is.
 
 The circles of every state come once from diagram.state_circles, kept
 as a plug -> circle label list and the smallest plug of each circle;
@@ -22,7 +36,10 @@ the state weight r by one, so each (r, j) block eliminates on its own,
 with rows kept as python-int bitmasks.
 
 The size caps are the module constants CROSSING_CAP and DIM_CAP, read
-at call time; a diagram over either raises SizeLimitError.
+at call time; a diagram over either raises SizeLimitError.  DIM_CAP
+bounds the unreduced dimension, the sum of 2^k over the states with k
+circles, which is twice what is built: the caps refuse a diagram by
+the size of its homology's full cube, whichever complex computes it.
 """
 
 from __future__ import annotations
@@ -37,7 +54,9 @@ DIM_CAP = 1 << 22
 
 
 def _assemble(d: LinkDiagram):
-    """Column numbering and aligned differential rows per (r, j) block."""
+    """Column numbering and aligned differential rows per (r, j) block
+    of the marked subcomplex; a labeling x has bit 0 set, and its
+    column is numbered by x >> 1."""
     if d.n > CROSSING_CAP:
         raise SizeLimitError("%d crossings exceed the cap %d"
                              % (d.n, CROSSING_CAP))
@@ -66,7 +85,7 @@ def _assemble(d: LinkDiagram):
         r = mask.bit_count()
         base = r + n_plus - 2 * n_minus + k
         here = []
-        for x in range(1 << k):
+        for x in range(1, 1 << k, 2):
             key = (r, base - 2 * x.bit_count())
             idx = dims.get(key, 0)
             dims[key] = idx + 1
@@ -77,7 +96,7 @@ def _assemble(d: LinkDiagram):
         r = mask.bit_count()
         base = r + n_plus - 2 * n_minus + k
         ls = lab[mask]
-        img = [0] * (1 << k)
+        img = [0] * len(col[mask])
         for c in range(d.n):
             if mask >> c & 1:
                 continue
@@ -91,30 +110,32 @@ def _assemble(d: LinkDiagram):
             tbl = [0 if b in src else 1 << lt[p]
                    for b, p in enumerate(first[mask])]
             tbl += [1 << i for i in range(kt - d.loops, kt)]
-            # walk labelings in Gray order, one transferred bit per step
-            x = t = 0
+            # walk the labelings with the marked circle 0 at x in Gray
+            # order over circles 1..k-1, one transferred bit per step
+            x, t = 1, tbl[0]
             if len(src) == 2:  # merge of circles a and b into m
                 ab, m = 1 << src[0] | 1 << src[1], 1 << dst[0]
-                for g in range(1 << k):
+                for g in range(1 << k - 1):
                     if g:
-                        flip = (g & -g).bit_length() - 1
+                        flip = (g & -g).bit_length()
                         x ^= 1 << flip
                         t ^= tbl[flip]
                     if x & ab != ab:
-                        img[x] ^= 1 << ct[t | m if x & ab else t]
+                        img[x >> 1] ^= 1 << ct[(t | m if x & ab else t) >> 1]
             else:  # split of circle a into u and v
                 a, u, v = 1 << src[0], 1 << dst[0], 1 << dst[1]
-                for g in range(1 << k):
+                for g in range(1 << k - 1):
                     if g:
-                        flip = (g & -g).bit_length() - 1
+                        flip = (g & -g).bit_length()
                         x ^= 1 << flip
                         t ^= tbl[flip]
                     if x & a:
-                        img[x] ^= 1 << ct[t | u | v]
+                        img[x >> 1] ^= 1 << ct[(t | u | v) >> 1]
                     else:
-                        img[x] ^= 1 << ct[t | u] ^ 1 << ct[t | v]
-        for x, idx in enumerate(col[mask]):
-            rows[(r, base - 2 * x.bit_count())][idx] = img[x]
+                        img[x >> 1] ^= (1 << ct[(t | u) >> 1]
+                                        ^ 1 << ct[(t | v) >> 1])
+        for h, idx in enumerate(col[mask]):
+            rows[(r, base - 2 - 2 * h.bit_count())][idx] = img[h]
     return dims, rows, n_minus
 
 
@@ -135,18 +156,21 @@ def _rank(rows) -> int:
 
 def khovanov_f2(d: LinkDiagram) -> dict:
     """Ranks of F2 Khovanov homology as a map (i, j) -> dimension."""
+    if not d.n and not d.loops:  # the empty link: no circle to mark
+        return {(0, 0): 1}
     dims, rows, n_minus = _assemble(d)
     rank_d = {key: _rank(rws) for key, rws in rows.items()}
     ranks = {}
-    for (r, j), dim in sorted(dims.items()):
+    for (r, j), dim in dims.items():
         h = dim - rank_d.get((r, j), 0) - rank_d.get((r - 1, j), 0)
-        if h:
-            ranks[(r - n_minus, j)] = h
-    return ranks
+        for key in (r - n_minus, j), (r - n_minus, j + 2):
+            ranks[key] = ranks.get(key, 0) + h
+    return {key: h for key, h in sorted(ranks.items()) if h}
 
 
 def d_squared_zero(d: LinkDiagram) -> bool:
-    """Check d∘d = 0 on the assembled differential, block by block."""
+    """Check d∘d = 0, block by block, on the complex khovanov_f2
+    builds: the marked-circle subcomplex, not the full cube."""
     dims, rows, _ = _assemble(d)
     for (r, j), rws in rows.items():
         nxt = rows.get((r + 1, j))

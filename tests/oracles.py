@@ -17,12 +17,18 @@ they hold for every algebraic (non-polyhedral) symbol.
 brute_canonical_code reads a diagram's code from every start to the
 end and keeps the smallest, the definition that the package's
 lockstep read prunes.
+
+cube_khovanov_f2 builds the whole unreduced 2^n cube of resolutions
+over F2, both labels on every circle, from the public state_circles and
+crossing_signs alone; the package builds only the marked-circle
+subcomplex and doubles its ranks.
 """
 
 from fractions import Fraction
 
 from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
+from qalinks.diagram import crossing_signs, state_circles
 
 
 class OracleUnsupported(Exception):
@@ -151,3 +157,110 @@ def brute_canonical_code(d) -> str:
         ",".join(" ".join("%d.%d" % pq for pq in row) for row in code)
         for code in sorted(pieces))
     return body + "|%d" % d.loops
+
+
+def _cube(d):
+    """Column numbering and differential rows per (r, j) block of the
+    full cube: r one-smoothings, labelings x over all circles (bit set
+    = x), j = r + n_plus - 2 n_minus + #1 - #x."""
+    n_plus = sum(1 for s in crossing_signs(d) if s > 0)
+    n_minus = d.n - n_plus
+    # per state: plug -> circle index, each circle's smallest plug, and
+    # the circle count with the free loops as the last d.loops indices
+    lab, first, ks = [], [], []
+    for mask in range(1 << d.n):
+        circles = state_circles(d, mask)
+        here = [0] * (4 * d.n)
+        for i, circle in enumerate(circles):
+            for p in circle:
+                here[p] = i
+        lab.append(here)
+        first.append([circle[0] for circle in circles])
+        ks.append(len(circles) + d.loops)
+    dims, col = {}, []
+    for mask, k in enumerate(ks):
+        r = mask.bit_count()
+        base = r + n_plus - 2 * n_minus + k
+        here = []
+        for x in range(1 << k):
+            key = (r, base - 2 * x.bit_count())
+            here.append(dims.get(key, 0))
+            dims[key] = here[-1] + 1
+        col.append(here)
+    rows = {key: [0] * dim for key, dim in dims.items()}
+    for mask, k in enumerate(ks):
+        r = mask.bit_count()
+        base = r + n_plus - 2 * n_minus + k
+        ls = lab[mask]
+        img = [0] * (1 << k)
+        for c in range(d.n):
+            if mask >> c & 1:
+                continue
+            t_mask = mask | 1 << c
+            lt, ct, kt = lab[t_mask], col[t_mask], ks[t_mask]
+            plugs = range(4 * c, 4 * c + 4)
+            src = sorted({ls[p] for p in plugs})
+            dst = sorted({lt[p] for p in plugs})
+            for x in range(1 << k):
+                # carry every circle the edge leaves alone by its
+                # smallest plug, then merge or split the touched ones
+                t = 0
+                for b, p in enumerate(first[mask]):
+                    if b not in src and x >> b & 1:
+                        t |= 1 << lt[p]
+                for i in range(kt - d.loops, kt):
+                    if x >> (i - kt + k) & 1:
+                        t |= 1 << i
+                if len(src) == 2:  # merge: 1 1 -> 1, 1 x -> x, x x -> 0
+                    on = (x >> src[0] & 1) + (x >> src[1] & 1)
+                    if on < 2:
+                        img[x] ^= 1 << ct[t | on << dst[0]]
+                else:  # split: 1 -> 1 x + x 1, x -> x x
+                    u, v = 1 << dst[0], 1 << dst[1]
+                    if x >> src[0] & 1:
+                        img[x] ^= 1 << ct[t | u | v]
+                    else:
+                        img[x] ^= 1 << ct[t | u] ^ 1 << ct[t | v]
+        for x, idx in enumerate(col[mask]):
+            rows[(r, base - 2 * x.bit_count())][idx] = img[x]
+    return dims, rows, n_minus
+
+
+def _f2_rank(rows):
+    pivots = {}
+    for row in rows:
+        while row:
+            b = row.bit_length() - 1
+            if b not in pivots:
+                pivots[b] = row
+                break
+            row ^= pivots[b]
+    return len(pivots)
+
+
+def cube_khovanov_f2(d) -> dict:
+    """F2 Khovanov ranks (i, j) -> dimension of the full cube."""
+    dims, rows, n_minus = _cube(d)
+    rank_d = {key: _f2_rank(rws) for key, rws in rows.items()}
+    ranks = {}
+    for (r, j), dim in sorted(dims.items()):
+        h = dim - rank_d.get((r, j), 0) - rank_d.get((r - 1, j), 0)
+        if h:
+            ranks[(r - n_minus, j)] = h
+    return ranks
+
+
+def cube_d_squared_zero(d) -> bool:
+    """d∘d = 0 on every block of the full cube."""
+    _, rows, _ = _cube(d)
+    for (r, j), rws in rows.items():
+        nxt = rows.get((r + 1, j))
+        for row in rws if nxt else ():
+            acc = 0
+            while row:
+                b = row & -row
+                acc ^= nxt[b.bit_length() - 1]
+                row ^= b
+            if acc:
+                return False
+    return True

@@ -53,13 +53,14 @@ def turned(d, seed):
     return D.LinkDiagram(d.n, {m(a): m(b) for a, b in d.adj.items()}, d.loops)
 
 
-def mixed_closures(seed, count):
-    """Seeded 2- to 4-strand closures over a random set of generators,
-    so some have free loops or split pieces; links come with them."""
+def mixed_closures(seed, count, max_strands=4):
+    """Seeded closures on 2 to max_strands strands over a random set of
+    generators, so some have free loops or split pieces; links come
+    with them."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        strands = rng.randint(2, 4)
+        strands = rng.randint(2, max_strands)
         gens = [g for g in range(1, strands) if rng.random() < 0.7] or [1]
         word = [rng.choice((1, -1)) * rng.choice(gens)
                 for _ in range(rng.randint(1, 9))]

@@ -8,12 +8,17 @@ checks the whole chain complex (gradings, differential, rank counts)
 against an independent pipeline.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qalinks import diagram as D
 from qalinks import homology as H
 from qalinks.invariants import LaurentPoly, SizeLimitError, jones, signature
+
+from oracles import cube_d_squared_zero, cube_khovanov_f2
+from test_diagram import mixed_closures
 
 
 BATTERY = [
@@ -50,8 +55,8 @@ class TestSmallTables:
 
     def test_left_trefoil(self):
         # build("3") is the negative trefoil here (writhe -3), so the
-        # table sits in non-positive gradings; total F2 rank is 6 with
-        # the reduced rank-4 table fattened by the extra Z/2.
+        # table sits in non-positive gradings; total F2 rank is 6, the
+        # reduced F2 table of rank 3 counted at j and again at j + 2.
         ranks = H.khovanov_f2(D.build("3"))
         assert sum(ranks.values()) == 6
         assert ranks[(0, -1)] == 1 and ranks[(0, -3)] == 1
@@ -62,6 +67,14 @@ class TestSmallTables:
         ranks = H.khovanov_f2(D.build("2 2"))
         assert sum(ranks.values()) == 10
         assert set(j - 2 * i for i, j in ranks) == {-1, 1}
+
+    def test_empty_diagram(self):
+        assert H.khovanov_f2(D.LinkDiagram(0, {}, 0)) == {(0, 0): 1}
+
+    def test_keys_sorted(self):
+        for sym in BATTERY:
+            ranks = H.khovanov_f2(D.build(sym))
+            assert list(ranks) == sorted(ranks), sym
 
     def test_torus_3_4_is_wide(self):
         # 8_19 in one of its Conway forms; the first non-thin knot.
@@ -95,6 +108,48 @@ class TestOracles:
         left = H.khovanov_f2(d)
         right = H.khovanov_f2(D.mirror(d))
         assert right == {(-i, -j): r for (i, j), r in left.items()}
+
+
+class TestReducedAgainstCube:
+    """The doubled marked-circle ranks equal the full cube's exactly."""
+
+    # two split trefoil pieces, and a trefoil beside two free loops
+    NAMED = [D.from_braid([1, 1, 1, 3, 3, 3], 4), D.from_braid([2, 2, 2], 4)]
+    CLOSURES = NAMED + mixed_closures(13, 120, max_strands=5)
+
+    @staticmethod
+    def derived(d, rng):
+        out = [d, D.simplify(d)]
+        if d.n:
+            c = rng.randrange(d.n)
+            out += [D.smooth(d, c, kind) for kind in "AB"]
+        return out
+
+    def test_corpus_has_links_loops_and_split_pieces(self):
+        assert any(D.components(d) > 1 and not d.loops for d in self.CLOSURES)
+        assert any(d.loops for d in self.CLOSURES)
+        assert any(len(D.graph_components(d)) > 1 for d in self.CLOSURES)
+
+    @pytest.mark.parametrize("sym", BATTERY)
+    def test_battery(self, sym):
+        d = D.build(sym)
+        assert H.khovanov_f2(d) == cube_khovanov_f2(d)
+
+    @pytest.mark.parametrize("code", ["|1", "|2", "|3"])
+    def test_free_loops(self, code):
+        d = D.from_code(code)
+        assert H.khovanov_f2(d) == cube_khovanov_f2(d)
+
+    def test_closures_simplified_and_smoothed(self):
+        rng = random.Random(17)
+        for d in self.CLOSURES:
+            for e in self.derived(d, rng):
+                assert H.khovanov_f2(e) == cube_khovanov_f2(e)
+
+    @pytest.mark.parametrize(
+        "sym", [s for s in BATTERY if D.build(s).n <= 9])
+    def test_cube_differential_squares_to_zero(self, sym):
+        assert cube_d_squared_zero(D.build(sym))
 
 
 class TestKunneth:
