@@ -48,7 +48,7 @@ def _pair(arcs, a, b):
     arcs[b] = a
 
 
-def _fuse(arcs, pairs):
+def fuse(arcs, pairs):
     """Join arcs through connector plugs and drop them.
 
     pairs lists plugs to be fused two at a time; each listed plug
@@ -141,7 +141,7 @@ def add(a: Tangle, b: Tangle) -> Tangle:
     left = dict(a.arcs)
     right = _relabel(b, a.n, {"NW": "bNW", "SW": "bSW", "SE": "bSE", "NE": "bNE"})
     merged = {**left, **right}
-    arcs, loops = _fuse(merged, [("NE", "bNW"), ("SE", "bSW")])
+    arcs, loops = fuse(merged, [("NE", "bNW"), ("SE", "bSW")])
     out = {}
     for p, q in arcs.items():
         out[_unb(p)] = _unb(q)
@@ -192,7 +192,7 @@ class LinkDiagram:
 
 
 def closure_numerator(t: Tangle) -> LinkDiagram:
-    arcs, loops = _fuse(t.arcs, [("NW", "NE"), ("SW", "SE")])
+    arcs, loops = fuse(t.arcs, [("NW", "NE"), ("SW", "SE")])
     return LinkDiagram(t.n, arcs, t.loops + loops)
 
 
@@ -465,7 +465,7 @@ def _build_poly(node: Poly) -> LinkDiagram:
             # the octahedral knot anchors come out unmirrored
             pairs.append((("v", v, CORNERS[-k % 4]),
                           ("v", w, CORNERS[-j % 4])))
-    arcs, extra = _fuse(arcs, pairs)
+    arcs, extra = fuse(arcs, pairs)
     return LinkDiagram(total, arcs, loops + extra)
 
 
@@ -498,7 +498,7 @@ def from_braid(word, strands: int) -> LinkDiagram:
     for k in range(strands):
         _pair(arcs, ("bot", k), boundary[k])
     pairs = [(("top", k), ("bot", k)) for k in range(strands)]
-    arcs, loops = _fuse(arcs, pairs)
+    arcs, loops = fuse(arcs, pairs)
     return LinkDiagram(n, arcs, loops)
 
 
@@ -612,7 +612,7 @@ def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
         pairs = [(4 * c, 4 * c + 3), (4 * c + 1, 4 * c + 2)]
     else:
         raise ValueError(kind)
-    arcs, loops = _fuse(dict(d.adj), pairs)
+    arcs, loops = fuse(dict(d.adj), pairs)
     return _drop_crossings(LinkDiagram(d.n, arcs, d.loops + loops), {c})
 
 
@@ -661,7 +661,7 @@ def reduce_once(d: LinkDiagram):
         arcs = dict(d.adj)
         del arcs[a], arcs[b]
         other = [4 * c + s for s in range(4) if 4 * c + s not in (a, b)]
-        arcs, loops = _fuse(arcs, [tuple(other)])
+        arcs, loops = fuse(arcs, [tuple(other)])
         return _drop_crossings(LinkDiagram(d.n, arcs, d.loops + loops), {c})
     bigon = _find_bigon(d)
     if bigon:
@@ -670,7 +670,7 @@ def reduce_once(d: LinkDiagram):
         for p in (a, b, a2, b2):
             del arcs[p]
         pairs = [(_through(a), _through(b)), (_through(a2), _through(b2))]
-        arcs, loops = _fuse(arcs, pairs)
+        arcs, loops = fuse(arcs, pairs)
         return _drop_crossings(LinkDiagram(d.n, arcs, d.loops + loops),
                                {a // 4, b // 4})
     return None
@@ -787,8 +787,8 @@ def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
         rb = b if isinstance(b, str) else b + shift
         arcs[ra] = rb
     frame = _FRAME[sign]
-    arcs, loops = _fuse(arcs, [(corner, 4 * c + s)
-                               for corner, s in frame.items()])
+    arcs, loops = fuse(arcs, [(corner, 4 * c + s)
+                              for corner, s in frame.items()])
     merged = LinkDiagram(d.n + t.n, arcs, d.loops + t.loops + loops)
     return _drop_crossings(merged, {c})
 

@@ -1,7 +1,19 @@
 """Exact diagram invariants: bracket, Jones, determinant, signature.
 
-The bracket is a plain state sum over the circle counts of
-diagram.state_circles, so it is capped at BRACKET_CAP crossings.
+The bracket is the Kauffman state sum evaluated by a planar scan, a
+transfer matrix in the manner of D. Bar-Natan's Fast Khovanov homology
+computations (arXiv:math/0606318).  Crossings are added one at a time,
+each next the one with the most arcs to crossings already placed (ties
+to the lowest index, starting from crossing 0), so the open ends stay
+few.  The placed part of every state is a planar matching of its open
+ends plus a number of closed loops; the scan keeps, per matching, how
+many states reach it with b B-smoothings and l loops.  A crossing's A
+and B smoothings are glued onto each matching with diagram.fuse, which
+also counts the loops that close.  Once every crossing is placed the
+only matching left is the empty one, and its counts are the state sum.
+The work grows with the number of matchings, not with 2^n, so there
+is no crossing cap; tests/oracles.py keeps the 2^n state sum.
+
 Jones polynomials are returned in the square root of the usual
 variable: exponents are doubled, which keeps them integral for links
 with any number of components.
@@ -32,9 +44,6 @@ from qalinks import diagram as diag
 
 class SizeLimitError(RuntimeError):
     pass
-
-
-BRACKET_CAP = 24
 
 
 class LaurentPoly:
@@ -167,20 +176,50 @@ def _delta_power(k, cache={}):
     return cache[k]
 
 
+def _scan_order(d):
+    """Crossings in scan order: greedily the one with the most arcs to
+    placed crossings, ties to the lowest index, from crossing 0."""
+    order, touch = [], [0] * d.n  # arcs to placed crossings, -1 if placed
+    for _ in range(d.n):
+        c = max((e for e in range(d.n) if touch[e] >= 0),
+                key=lambda e: (touch[e], -e))
+        order.append(c)
+        touch[c] = -1
+        for q in range(4 * c, 4 * c + 4):
+            e = d.adj[q] // 4
+            if touch[e] >= 0:
+                touch[e] += 1
+    return order
+
+
 def bracket(d) -> LaurentPoly:
     """Kauffman bracket, normalized to 1 on a single circle."""
-    n = d.n
-    if n > BRACKET_CAP:
-        raise SizeLimitError("%d crossings exceed the bracket cap" % n)
-    counts = {}
-    for state in range(1 << n):
-        # A smoothings weigh +1, B smoothings (set bits) -1
-        key = (n - 2 * state.bit_count(),
-               len(diag.state_circles(d, state)) + d.loops)
-        counts[key] = counts.get(key, 0) + 1
+    adj, placed = d.adj, set()
+    # open-end matching -> {(B smoothings, closed loops): states}
+    layer = {(): {(0, 0): 1}}
+    for c in _scan_order(d):
+        placed.add(c)
+        # arcs from c to placed crossings, c's own kinks once each
+        pairs = [(q, adj[q]) for q in range(4 * c, 4 * c + 4)
+                 if adj[q] // 4 in placed and (adj[q] // 4 != c or q < adj[q])]
+        p0, p1, p2, p3 = range(4 * c, 4 * c + 4)
+        smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
+                      {p0: p3, p3: p0, p1: p2, p2: p1})   # B
+        nxt = {}
+        for ends, counts in layer.items():
+            for b, smoothing in enumerate(smoothings):
+                arcs, loops = diag.fuse({**dict(ends), **smoothing}, pairs)
+                here = nxt.setdefault(tuple(sorted(arcs.items())), {})
+                for (bs, ls), v in counts.items():
+                    key = (bs + b, ls + loops)
+                    here[key] = here.get(key, 0) + v
+        layer = nxt
+    # every arc is closed: one matching is left, the empty one; A
+    # smoothings weigh +1 and B smoothings -1
     out = LaurentPoly()
-    for (exp, circles), mult in counts.items():
-        out = out + LaurentPoly.term(mult, exp) * _delta_power(circles - 1)
+    for (bs, ls), v in layer[()].items():
+        out = out + LaurentPoly.term(v, d.n - 2 * bs) * _delta_power(
+            ls + d.loops - 1)
     return out
 
 

@@ -18,6 +18,10 @@ brute_canonical_code reads a diagram's code from every start to the
 end and keeps the smallest, the definition that the package's
 lockstep read prunes.
 
+cube_bracket is the Kauffman bracket as the plain 2^n state sum over
+the circle counts of the public state_circles; the package scans the
+crossings one at a time instead.
+
 cube_khovanov_f2 builds the whole unreduced 2^n cube of resolutions
 over F2, both labels on every circle, from the public state_circles and
 crossing_signs alone; the package builds only the marked-circle
@@ -29,6 +33,7 @@ from fractions import Fraction
 from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
 from qalinks.diagram import crossing_signs, state_circles
+from qalinks.invariants import LaurentPoly
 
 
 class OracleUnsupported(Exception):
@@ -157,6 +162,21 @@ def brute_canonical_code(d) -> str:
         ",".join(" ".join("%d.%d" % pq for pq in row) for row in code)
         for code in sorted(pieces))
     return body + "|%d" % d.loops
+
+
+def cube_bracket(d):
+    """Kauffman bracket, 1 on a single circle: every state weighs
+    A^(#A - #B) times delta^(circles - 1), delta = -A^2 - A^-2."""
+    counts = {}
+    for state in range(1 << d.n):
+        key = (d.n - 2 * state.bit_count(),
+               len(state_circles(d, state)) + d.loops)
+        counts[key] = counts.get(key, 0) + 1
+    delta = LaurentPoly({2: -1, -2: -1})
+    out = LaurentPoly()
+    for (exp, circles), mult in counts.items():
+        out = out + LaurentPoly.term(mult, exp) * delta ** (circles - 1)
+    return out
 
 
 def _cube(d):

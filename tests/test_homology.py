@@ -9,6 +9,7 @@ against an independent pipeline.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,29 @@ class TestLimits:
         monkeypatch.setattr(H, "DIM_CAP", 8)
         with pytest.raises(SizeLimitError):
             H.khovanov_f2(D.build("2 2"))
+
+    def test_one_crossing_signs_call_after_the_cap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(H, "crossing_signs",
+                            lambda d: calls.append(d) or D.crossing_signs(d))
+        H.khovanov_f2(D.build("2 1 1"))
+        assert len(calls) == 1
+        with pytest.raises(SizeLimitError):
+            H.khovanov_f2(D.build("7,3,3"))
+        assert len(calls) == 1
+
+    def test_peak_memory_at_twelve_crossings(self):
+        # one weight level of the complex is held at a time; the whole
+        # complex at once peaked near 7 MB here
+        d = D.build("2 1 1:-2 1 0:2 0")
+        assert d.n == 12
+        tracemalloc.start()
+        try:
+            H.khovanov_f2(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
 
 
 @st.composite

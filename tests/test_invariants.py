@@ -7,19 +7,22 @@ component shifts by six in the doubled exponent). Comparisons on links
 allow that gauge; knot values are exact.
 """
 
+import importlib.util
 import itertools
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qalinks import conway
 from qalinks import diagram as D
 from qalinks import invariants as I
 from qalinks.invariants import LaurentPoly
 
-from oracles import OracleUnsupported, symbol_det
-from test_diagram import SYMBOLS, shuffled
+from oracles import OracleUnsupported, cube_bracket, symbol_det
+from test_diagram import SYMBOLS, mixed_closures, shuffled
+from test_homology import BATTERY
 
 
 def build(s):
@@ -34,10 +37,28 @@ def shift_equal(a, b, step=6, span=8):
     return any(a == b.shift(step * m) for m in range(-span, span + 1))
 
 
-KNOT_SYMBOLS = [s for s in SYMBOLS if D.components(build(s)) == 1
-                and conway.symbol_crossings(conway.parse(s)) <= I.BRACKET_CAP]
-LINK_SYMBOLS = [s for s in SYMBOLS if D.components(build(s)) > 1
-                and conway.symbol_crossings(conway.parse(s)) <= I.BRACKET_CAP]
+def jones_at_minus_one_squared(v):
+    """|V(-1)|^2 for V in the doubled exponent: q = i turns q^2 into
+    -1; with uniform exponent parity the sum lands in one Gaussian
+    axis."""
+    re = sum(c if e % 4 == 0 else -c for e, c in v.c.items() if e % 2 == 0)
+    im = sum(c if e % 4 == 1 else -c for e, c in v.c.items() if e % 2 == 1)
+    return re * re + im * im
+
+
+def invariance_braids():
+    """The seeded braid closures behind the benchmark's
+    invariance_violations count, as perfbench/corpus.py draws them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [D.from_braid(row.word, row.strands)
+            for row in corpus.invariance_braids()]
+
+
+KNOT_SYMBOLS = [s for s in SYMBOLS if D.components(build(s)) == 1]
+LINK_SYMBOLS = [s for s in SYMBOLS if D.components(build(s)) > 1]
 
 
 class TestLaurentPoly:
@@ -100,9 +121,44 @@ class TestBracket:
             d = build(s)
             assert I.bracket(shuffled(d, 7)) == I.bracket(d)
 
-    def test_cap(self):
-        with pytest.raises(I.SizeLimitError):
-            I.bracket(build("5 5 5 5 5"))
+    def test_twenty_five_crossings_match_determinant(self):
+        # 2^25 states would take hours; the scan keeps few open ends
+        d = build("5 5 5 5 5")
+        assert d.n == 25
+        start = time.perf_counter()
+        v = I.jones(d)
+        assert time.perf_counter() - start < 1.0
+        assert jones_at_minus_one_squared(v) == I.determinant(d) ** 2
+
+
+class TestBracketAgainstCube:
+    """The planar scan equals the 2^n state sum exactly."""
+
+    @pytest.mark.parametrize("sym", list(dict.fromkeys(
+        [s for s in SYMBOLS if build(s).n <= 14] + BATTERY)))
+    def test_symbols(self, sym):
+        d = build(sym)
+        assert I.bracket(d) == cube_bracket(d)
+
+    def test_invariance_braids_and_their_simplify(self):
+        braids = invariance_braids()
+        assert len(braids) == 76
+        for d in braids:
+            for e in (d, D.simplify(d)):
+                assert I.bracket(e) == cube_bracket(e)
+
+    @pytest.mark.parametrize("code", ["|1", "|2", "|3"])
+    def test_free_loops(self, code):
+        d = D.from_code(code)
+        assert I.bracket(d) == cube_bracket(d)
+
+    def test_closures(self):
+        closures = mixed_closures(13, 120, max_strands=5)
+        assert any(D.components(d) > 1 and not d.loops for d in closures)
+        assert any(d.loops for d in closures)
+        assert any(len(D.graph_components(d)) > 1 for d in closures)
+        for d in closures:
+            assert I.bracket(d) == cube_bracket(d)
 
 
 class TestJones:
@@ -148,13 +204,8 @@ class TestJones:
 
     @pytest.mark.parametrize("sym", KNOT_SYMBOLS + LINK_SYMBOLS)
     def test_value_at_minus_one_is_determinant(self, sym):
-        # q = i turns q^2 into -1; with uniform exponent parity the sum
-        # lands in one Gaussian axis, and its size is the determinant
         d = build(sym)
-        v = I.jones(d)
-        re = sum(c if e % 4 == 0 else -c for e, c in v.c.items() if e % 2 == 0)
-        im = sum(c if e % 4 == 1 else -c for e, c in v.c.items() if e % 2 == 1)
-        assert re * re + im * im == I.determinant(d) ** 2
+        assert jones_at_minus_one_squared(I.jones(d)) == I.determinant(d) ** 2
 
 
 class TestDeterminant:
