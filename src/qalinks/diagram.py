@@ -686,16 +686,18 @@ def simplify(d: LinkDiagram) -> LinkDiagram:
 
 
 def r3_moves(d: LinkDiagram):
-    """All diagrams one Reidemeister 3 slide away.
+    """All diagrams one Reidemeister 3 slide away, one per triangle.
 
     A triangular face admits a slide along a bounding arc that runs at
     the same level (over both ends or under both ends) through its two
-    crossings; the arc sweeps past the third crossing.  Crossings keep
-    their internal structure, only the nine arcs around the triangle
-    are rewired: each of the three strands passes the two crossings it
-    meets in the opposite order afterwards.  Triangles that touch a
-    crossing twice, or whose surrounding arcs loop straight back into
-    the triangle, are skipped.
+    crossings; the arc sweeps past the third crossing.  Such a triangle
+    has two same-level arcs, its top strand and its bottom strand, and
+    sliding either is the same move, so only the first is returned.
+    Crossings keep their internal structure, only the nine arcs around
+    the triangle are rewired: each of the three strands passes the two
+    crossings it meets in the opposite order afterwards.  Triangles
+    that touch a crossing twice, or whose surrounding arcs loop
+    straight back into the triangle, are skipped.
     """
     out = []
     opp = lambda x: x - x % 4 + (x + 2) % 4
@@ -734,6 +736,7 @@ def r3_moves(d: LinkDiagram):
                          (xvb, vc_tri), (vc_ext, vb_ext), (vb_tri, xvc)):
                 _pair(adj, a, b)
             out.append(LinkDiagram(d.n, adj, d.loops))
+            break
     return out
 
 
@@ -802,22 +805,20 @@ def faces(d: LinkDiagram):
     dart of the face turns left, leaving from the plug one step counter
     clockwise of q.
     """
-    darts = []
-    for a, b in d.adj.items():
-        darts.append((a, b))
+    adj = d.adj
     out = []
+    # a dart is fixed by the plug it leaves from
     seen = set()
-    for start in sorted(darts):
+    for start in sorted(adj):
         if start in seen:
             continue
         face = []
-        dart = start
-        while dart not in seen:
-            seen.add(dart)
-            face.append(dart)
-            p, q = dart
-            r = q - q % 4 + (q + 1) % 4
-            dart = (r, d.adj[r])
+        p = start
+        while p not in seen:
+            seen.add(p)
+            q = adj[p]
+            face.append((p, q))
+            p = q - q % 4 + (q + 1) % 4
         out.append(tuple(face))
     return out
 
@@ -877,7 +878,9 @@ def canonical_code(d: LinkDiagram) -> str:
     # a plug pair (crossing id, slot) is held as 4 * id + slot, which
     # keeps the order of the pairs
     body = ";".join(
-        ",".join(" ".join("%d.%d" % divmod(v, 4) for v in row) for row in code)
+        ",".join("%d.%d %d.%d %d.%d %d.%d" % (
+            a >> 2, a & 3, b >> 2, b & 3, c >> 2, c & 3, e >> 2, e & 3)
+            for a, b, c, e in code)
         for code in codes)
     return body + "|%d" % d.loops
 

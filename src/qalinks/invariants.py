@@ -194,6 +194,9 @@ def _scan_order(d):
 
 def bracket(d) -> LaurentPoly:
     """Kauffman bracket, normalized to 1 on a single circle."""
+    if d.n == 0 and d.loops == 0:
+        raise diag.DisconnectedDiagramError(
+            "the empty link has no normalized Jones polynomial")
     adj, placed = d.adj, set()
     # open-end matching -> {(B smoothings, closed loops): states}
     layer = {(): {(0, 0): 1}}

@@ -92,10 +92,12 @@ def _smoothing_kinds(sign):
 
 def _hops(d):
     """Codes one orbit step from d: its triangle slides, then its
-    reduction when it has one."""
+    reduction when it has one.  simplify carries on from the reduction
+    already found instead of finding it again."""
     hops = [canonical_code(m) for m in r3_moves(d)]
-    if reduce_once(d) is not None:
-        hops.append(canonical_code(simplify(d)))
+    reduced = reduce_once(d)
+    if reduced is not None:
+        hops.append(canonical_code(simplify(reduced)))
     return hops
 
 

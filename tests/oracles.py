@@ -18,6 +18,11 @@ brute_canonical_code reads a diagram's code from every start to the
 end and keeps the smallest, the definition that the package's
 lockstep read prunes.
 
+dart_faces walks the faces dart by dart, as (p, q) tuples, and
+r3_moves_every_arc slides every same-level arc of every triangle, so
+each move comes once from its top strand and once from its bottom
+strand; the package walks plugs and returns one slide per triangle.
+
 cube_bracket is the Kauffman bracket as the plain 2^n state sum over
 the circle counts of the public state_circles; the package scans the
 crossings one at a time instead.
@@ -32,7 +37,7 @@ from fractions import Fraction
 
 from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
-from qalinks.diagram import crossing_signs, state_circles
+from qalinks.diagram import LinkDiagram, crossing_signs, state_circles
 from qalinks.invariants import LaurentPoly
 
 
@@ -162,6 +167,55 @@ def brute_canonical_code(d) -> str:
         ",".join(" ".join("%d.%d" % pq for pq in row) for row in code)
         for code in sorted(pieces))
     return body + "|%d" % d.loops
+
+
+def dart_faces(d):
+    """Faces as cycles of darts (p, q), darts taken in sorted order;
+    the next dart leaves from the plug one step counter clockwise of
+    q."""
+    out, seen = [], set()
+    for start in sorted(d.adj.items()):
+        if start in seen:
+            continue
+        face, dart = [], start
+        while dart not in seen:
+            seen.add(dart)
+            face.append(dart)
+            q = dart[1]
+            r = q - q % 4 + (q + 1) % 4
+            dart = (r, d.adj[r])
+        out.append(tuple(face))
+    return out
+
+
+def r3_moves_every_arc(d):
+    """One diagram per same-level arc of every triangle whose three
+    crossings differ and whose nine surrounding arcs leave it."""
+    out = []
+    opp = lambda x: x - x % 4 + (x + 2) % 4
+    for face in dart_faces(d):
+        if len(face) != 3 or len({q // 4 for _, q in face}) != 3:
+            continue
+        for i in range(3):
+            sa, sb = face[i]
+            if sa % 2 != sb % 2:
+                continue
+            uc, ua = face[(i + 2) % 3]
+            vb, vc = face[(i + 1) % 3]
+            inner = (sa, sb, ua, uc, vb, vc)
+            tri = set(inner) | {opp(x) for x in inner}
+            ext = {x: d.adj[opp(x)] for x in inner}
+            if set(ext.values()) & tri:
+                continue
+            adj = {a: b for a, b in d.adj.items()
+                   if a not in tri and a not in ext.values()}
+            # each strand passes its two crossings in the other order
+            for a, b in ((ext[sa], sb), (opp(sb), opp(sa)), (sa, ext[sb]),
+                         (ext[ua], uc), (opp(uc), opp(ua)), (ua, ext[uc]),
+                         (ext[vb], vc), (opp(vc), opp(vb)), (vb, ext[vc])):
+                adj[a], adj[b] = b, a
+            out.append(LinkDiagram(d.n, adj, d.loops))
+    return out
 
 
 def cube_bracket(d):

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 from qalinks import conway
 from qalinks import diagram as D
 
-from oracles import brute_canonical_code, code_from
+from oracles import (
+    brute_canonical_code, code_from, dart_faces, r3_moves_every_arc,
+)
 
 
 SYMBOLS = [
@@ -282,6 +284,42 @@ class TestCanonicalCodeOracle:
             codes = [code_from(d, c, side) for c in range(d.n) for side in (0, 2)]
             assert codes.count(min(codes)) > 1
             assert D.canonical_code(d) == brute_canonical_code(d)
+
+
+class TestR3AgainstEveryArc:
+    """One slide per triangle: the every-arc slides, each move once."""
+
+    CORPUS = ([d for c in TestCanonicalCodeOracle.CLOSURES
+               for d in (c, D.simplify(c))]
+              + [build(s) for s in SYMBOLS])
+
+    def test_corpus_slides(self):
+        assert sum(1 for d in self.CORPUS if D.r3_moves(d)) >= 20
+        assert any(len(D.r3_moves(d)) > 1 for d in self.CORPUS)
+
+    def test_each_move_comes_once(self):
+        for d in self.CORPUS:
+            moves, every = D.r3_moves(d), r3_moves_every_arc(d)
+            # the top and the bottom strand of a triangle slide alike
+            assert len(every) == 2 * len(moves)
+            assert ({D.canonical_code(m) for m in moves}
+                    == {D.canonical_code(m) for m in every})
+            adjs = [tuple(sorted(m.adj.items())) for m in moves]
+            assert len(adjs) == len(set(adjs))
+
+    def test_slides_are_involutive(self):
+        for d in self.CORPUS:
+            code = D.canonical_code(d)
+            for m in D.r3_moves(d):
+                assert code in {D.canonical_code(b) for b in D.r3_moves(m)}
+
+
+class TestFacesPin:
+    """The plug walk lists the dart walk's faces in the same order."""
+
+    def test_same_list(self):
+        for d in TestR3AgainstEveryArc.CORPUS:
+            assert D.faces(d) == dart_faces(d)
 
 
 class TestCorpus:
