@@ -796,7 +796,7 @@ def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
     return _drop_crossings(merged, {c})
 
 
-# --- faces and coloring ----------------------------------------------
+# --- faces and codes -------------------------------------------------
 
 def faces(d: LinkDiagram):
     """Faces of the diagram as cycles of darts (ordered arc traversals).
@@ -823,33 +823,6 @@ def faces(d: LinkDiagram):
     return out
 
 
-def checkerboard(d: LinkDiagram):
-    """Faces plus a proper 2-coloring (0/1) of the face adjacency."""
-    if d.n == 0:
-        raise DisconnectedDiagramError("no crossings to color around")
-    fs = faces(d)
-    # a connected diagram with n crossings has n+2 faces by Euler
-    if d.loops or len(fs) != d.n + 2:
-        raise DisconnectedDiagramError("diagram is split")
-    at = {}
-    for i, face in enumerate(fs):
-        for p, q in face:
-            at[(p, q)] = i
-    colors = [None] * len(fs)
-    colors[0] = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for p, q in fs[i]:
-            j = at[(q, p)]
-            if colors[j] is None:
-                colors[j] = 1 - colors[i]
-                stack.append(j)
-            elif colors[j] == colors[i]:
-                raise ValueError("faces are not checkerboard colorable")
-    return fs, colors
-
-
 def canonical_code(d: LinkDiagram) -> str:
     """Canonical text form, stable under crossing renumbering and the
     180 degree turn of single crossings. Mirror images get different
@@ -858,13 +831,15 @@ def canonical_code(d: LinkDiagram) -> str:
 
     A start fixes a crossing and which of its two strand-ends leads
     (slot 0 or slot 2; the turn maps one onto the other), so two sides
-    per crossing cover every labelling the code must forget. Each
-    piece is read breadth first from all its starts in lockstep: row
-    i is written for every surviving start, and only the starts whose
+    per crossing cover every labelling the code must forget. The
+    pieces are read breadth first from all starts in lockstep: row i
+    is written for every surviving start, and only the starts whose
     row is smallest go on to row i + 1 (Weinberg's row-by-row minimal
-    code for planar maps). Every start writes one row per crossing,
-    so the rows left at the end are the smallest code of the piece;
-    the pieces are then sorted.
+    code for planar maps). A start writes one row per crossing of its
+    piece, so the first start to run out of crossings holds the
+    smallest piece code, a prefix of every survivor's; that piece is
+    set aside and the rest is read again, which lists the piece codes
+    in sorted order.
 
     The code is unoriented: a LinkDiagram stores no orientation, so a
     link, its reverse and a link with some components reversed share
@@ -873,8 +848,11 @@ def canonical_code(d: LinkDiagram) -> str:
     determinant may."""
     if d.n == 0:
         return "|%d" % d.loops
-    codes = sorted(_piece_code(d.adj, crossings)
-                   for crossings in graph_components(d))
+    codes, rest = [], range(d.n)
+    while rest:
+        code, piece = _piece_code(d.adj, rest)
+        codes.append(code)
+        rest = [c for c in rest if c not in piece]
     # a plug pair (crossing id, slot) is held as 4 * id + slot, which
     # keeps the order of the pairs
     body = ";".join(
@@ -953,7 +931,8 @@ def graph_components(d: LinkDiagram):
 
 
 def _piece_code(adj, crossings):
-    """Smallest code of one piece, read from all its starts in lockstep.
+    """Smallest piece code over the starts at the given crossings, read
+    in lockstep, and the crossings of that piece.
 
     A start's state maps each crossing it has seen to 4 * id + offset
     (offset 0 or 2 is the slot its row begins at), and lists the seen
@@ -962,10 +941,13 @@ def _piece_code(adj, crossings):
     a plug q of crossing e reads as label[e] ^ (q & 3)."""
     states = [({c: side}, [c]) for c in crossings for side in (0, 2)]
     code = []
-    for i in range(len(crossings)):
+    while True:
+        i = len(code)
         best = None
         for state in states:
             label, order = state
+            if i == len(order):
+                return code, label
             c = order[i]
             off = label[c] & 2
             row = []
@@ -983,4 +965,3 @@ def _piece_code(adj, crossings):
                 keep.append(state)
         states = keep
         code.append(best)
-    return code

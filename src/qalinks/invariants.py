@@ -31,8 +31,13 @@ determinant is the weighted count of spanning trees. Smoothing a
 crossing either merges its two white faces (the edge is contracted)
 or keeps them apart (the edge is deleted), so deletion-contraction,
 det G = det(G - e) + eta * det(G / e), gives both smoothing
-determinants of every crossing from the one matrix of the diagram:
-smoothing_determinants takes one principal minor per crossing.
+determinants of every crossing from the one matrix of the diagram.
+By the matrix determinant lemma each contraction is a quadratic form
+in the adjugate of the reduced matrix, so smoothing_determinants
+eliminates that matrix once, for its determinant and adjugate
+together, as quasi-alternating searches need at every node
+(Ozsvath-Szabo, arXiv:math/0309170; Champanerkar-Kofman,
+arXiv:0712.2265).
 """
 
 from __future__ import annotations
@@ -246,7 +251,10 @@ def jones(d) -> LaurentPoly:
 
 
 def determinant(d) -> int:
-    """Link determinant, via the Goeritz matrix of the white faces."""
+    """Link determinant, the reduced Goeritz minor of the white faces.
+
+    Independent of smoothing_determinants' adjugate, so certificate
+    audits recompute with it."""
     if d.n == 0:
         return 1 if d.loops == 1 else 0
     if d.loops or len(diag.graph_components(d)) > 1:
@@ -256,27 +264,46 @@ def determinant(d) -> int:
 
 
 def smoothing_determinants(d):
-    """(det of the A smoothing, det of the B smoothing) at each crossing.
+    """(det d, [(det of the A smoothing, det of the B smoothing), ...]).
 
-    Equal to the determinants of smooth(d, c, "A") and smooth(d, c, "B"),
-    read off the diagram's one Goeritz matrix.  Corner s lies between
-    slots s and s+1; A joins corners 1 and 3, B joins corners 0 and 2.
-    So where the white faces sit at corners 0 and 2 (eta = 1), B merges
-    them and contracts the crossing's Tait edge while A deletes it; at
-    eta = -1 the roles swap.  The contracted graph's determinant is
-    the minor without both faces' rows; a loop edge (one white face at
-    both corners) contracts to a split diagram, determinant 0.
+    The pair at crossing c equals the determinants of smooth(d, c, "A")
+    and smooth(d, c, "B"), and all of them are read off the diagram's
+    one reduced Goeritz matrix R (row 0 dropped).  Corner s lies
+    between slots s and s+1; A joins corners 1 and 3, B joins corners
+    0 and 2.  So where the white faces sit at corners 0 and 2 (eta =
+    1), B merges them and contracts the crossing's Tait edge while A
+    deletes it; at eta = -1 the roles swap.  With b = e_i - e_j for the
+    edge's two faces, row 0 dropped, the matrix determinant lemma on
+    the Laplacian gives the contraction as b^T adj(R) b, and the
+    deletion as det R - eta * b^T adj(R) b; one fraction-free
+    Gauss-Jordan pass yields det R and adj R.  A loop edge (one white
+    face at both corners) has b = 0 and contracts to a split diagram,
+    determinant 0.  A singular R (a connected diagram of determinant
+    0) has no pivot to finish the pass, and reads each contraction as
+    the minor without both faces' rows instead.
     """
-    if d.loops or len(diag.graph_components(d)) != 1:
-        return [(0, 0)] * d.n
-    g, etas, rows = _goeritz(d, 0)
-    whole = _int_det(_minor(g, (0,)))
+    if d.n == 0:
+        return (1 if d.loops == 1 else 0), []
+    try:
+        g, etas, rows = _goeritz(d, 0)
+    except diag.DisconnectedDiagramError:
+        return 0, [(0, 0)] * d.n
+    whole, adj = _det_adj(_minor(g, (0,)))
+    if adj is not None:
+        # face 0's row and column are zero: b drops its entry there
+        adj = [[0] * len(g)] + [[0] + row for row in adj]
     out = []
     for eta, (i, j) in zip(etas, rows):
-        con = 0 if i == j else _int_det(_minor(g, (i, j)))
+        if i == j:
+            con = 0
+        elif adj is None:
+            con = _int_det(_minor(g, (i, j)))
+        else:
+            ai, aj = adj[i], adj[j]
+            con = ai[i] + aj[j] - ai[j] - aj[i]
         dele = abs(whole - eta * con)
         out.append((dele, abs(con)) if eta == 1 else (abs(con), dele))
-    return out
+    return abs(whole), out
 
 
 def _goeritz(d, color):
@@ -287,29 +314,55 @@ def _goeritz(d, color):
     etas[c] is the corner type of crossing c: 1 when its two faces of
     this color sit at corners 0 and 2, -1 at corners 1 and 3.  rows[c]
     holds the rows of those two faces, equal when they are one face.
+
+    Faces come in the order diag.faces lists them, each walked along
+    the plugs it leaves from, and face 0 has color 0.  Colors follow
+    corner alternation: the faces leaving the four slots of a crossing
+    alternate, and the faces either side of an arc differ, so the face
+    leaving plug 4c + s has color flip[c] ^ (s & 1) for one bit flip[c]
+    per crossing, and each face takes its color as its walk starts.
+    Raises DisconnectedDiagramError on a split diagram.
     """
-    fs, colors = diag.checkerboard(d)
-    corner = {}  # plug q -> face at the corner between slots q and q+1
-    for i, face in enumerate(fs):
-        for _, q in face:
-            corner[q] = i
-    row = {}
-    for i, col in enumerate(colors):
-        if col == color:
-            row[i] = len(row)
-    k = len(row)
-    g = [[0] * k for _ in range(k)]
+    if not d.n or d.loops:
+        raise diag.DisconnectedDiagramError("diagram is split")
+    n4, adj = 4 * d.n, d.adj
+    flip = [-1] * d.n
+    flip[0] = 0  # face 0 leaves plug 0
+    stack = [0]
+    while stack:
+        c = stack.pop()
+        for p in range(4 * c, 4 * c + 4):
+            q = adj[p]
+            if flip[q >> 2] < 0:
+                flip[q >> 2] = (flip[c] ^ p ^ q ^ 1) & 1
+                stack.append(q >> 2)
+    face = [-1] * n4  # plug -> the face whose walk leaves from it
+    row = []  # face -> its matrix row, -1 for the other color
+    rows_used = 0
+    for start in range(n4):
+        if face[start] < 0:
+            if flip[start >> 2] ^ start & 1 == color:
+                row.append(rows_used)
+                rows_used += 1
+            else:
+                row.append(-1)
+            k, p = len(row) - 1, start
+            while face[p] < 0:
+                face[p] = k
+                q = adj[p]
+                p = q - 3 if q & 3 == 3 else q + 1
+    # a connected diagram with n crossings has n+2 faces by Euler
+    if len(row) != d.n + 2:
+        raise diag.DisconnectedDiagramError("diagram is split")
+    g = [[0] * rows_used for _ in range(rows_used)]
     etas, rows = [], []
     for c in range(d.n):
-        faces_here = [corner[4 * c + s] for s in range(4)]
-        pair = [s for s in range(4) if colors[faces_here[s]] == color]
-        if pair == [0, 2]:
-            eta = 1
-        elif pair == [1, 3]:
-            eta = -1
+        # corner s is the face leaving slot s + 1; corners 0 and 2 have
+        # color flip[c] ^ 1
+        if flip[c] != color:
+            eta, i, j = 1, row[face[4 * c + 1]], row[face[4 * c + 3]]
         else:
-            raise AssertionError("corners do not alternate")
-        i, j = row[faces_here[pair[0]]], row[faces_here[pair[1]]]
+            eta, i, j = -1, row[face[4 * c + 2]], row[face[4 * c]]
         etas.append(eta)
         rows.append((i, j))
         if i != j:
@@ -367,6 +420,36 @@ def _int_det(m):
                 low[cc] = (low[cc] * p - f * top[cc]) // prev
         prev = p
     return sign * prev
+
+
+def _det_adj(m):
+    """(det m, adj m) by fraction-free Gauss-Jordan elimination on [m | I].
+
+    Bareiss's exact division, applied above each pivot as well as below
+    it, leaves det(m) times the identity on the left and adj(m) on the
+    right (both up to the sign of the row swaps).  adj is None when m
+    is singular.
+    """
+    n = len(m)
+    a = [list(row) + [0] * i + [1] + [0] * (n - 1 - i)
+         for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0, None
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        top = a[k]
+        p = top[k]
+        for r in range(n):
+            f = a[r][k]
+            # a row with nothing to clear is unchanged when p == prev
+            if r != k and (f or p != prev):
+                a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _sym_signature(m):

@@ -5,13 +5,15 @@ when some crossing has both smoothings qualifying with determinants
 adding up to the link's own.  The search explores smoothing trees of
 diagrams, memoized by canonical code, pruning crossings whose two
 smoothing determinants do not split the parent determinant into two
-positive parts.  Both smoothing determinants of every crossing are
-read off the node's one Goeritz matrix
-(invariants.smoothing_determinants), and smoothed diagrams are built
-only for the crossings the search recurses into.  A returned
-certificate stores the whole witness tree and can be re-audited
-offline from the codes alone; the audit recomputes each determinant
-from the decoded diagrams, independently of that shortcut.
+positive parts.  A node's determinant and both smoothing
+determinants of every crossing come from one elimination of its
+reduced Goeritz matrix (invariants.smoothing_determinants); crossing
+signs are read only when some crossing passes that test, and smoothed
+diagrams are built only for the crossings the search recurses into.
+A returned certificate stores the whole witness tree and can be
+re-audited offline from the codes alone; the audit recomputes each
+determinant as a minor of the decoded diagrams (invariants.determinant),
+independently of that shortcut.
 
 Smoothings of a crossing are ordered by its sign: the 0-smoothing is
 the A-smoothing at a positive crossing and the B-smoothing at a
@@ -128,7 +130,6 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
         code = canonical_code(d)
         if code in memo:
             return memo[code]
-        det = None
         seen = {code}
         queue = collections.deque([(code, ())])
         while queue:
@@ -150,18 +151,18 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
                 if m.loops == 1:
                     return settle(code, via, QACertificate(mcode, 1))
                 continue
-            if det is None:
-                det = determinant(m)
-            candidates = []
-            for c, (sign, (ta, tb)) in enumerate(
-                    zip(crossing_signs(m), smoothing_determinants(m))):
-                k0, k1 = _smoothing_kinds(sign)
-                t0, t1 = (ta, tb) if k0 == "A" else (tb, ta)
-                if t0 >= 1 and t1 >= 1 and t0 + t1 == det:
-                    candidates.append((abs(t0 - t1), c, k0, k1, t0, t1))
+            det, pairs = smoothing_determinants(m)
+            # the split test and the balance are symmetric in the pair,
+            # so the signs that order it are read only when one passes
+            candidates = [(abs(ta - tb), c, ta, tb)
+                          for c, (ta, tb) in enumerate(pairs)
+                          if ta >= 1 and tb >= 1 and ta + tb == det]
             # most balanced determinant split first, then crossing index
             candidates.sort()
-            for _, c, k0, k1, t0, t1 in candidates:
+            signs = crossing_signs(m) if candidates else ()
+            for _, c, ta, tb in candidates:
+                k0, k1 = _smoothing_kinds(signs[c])
+                t0, t1 = (ta, tb) if k0 == "A" else (tb, ta)
                 c0 = search(simplify(smooth(m, c, k0)))
                 if c0 is None:
                     continue

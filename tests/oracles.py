@@ -31,13 +31,23 @@ cube_khovanov_f2 builds the whole unreduced 2^n cube of resolutions
 over F2, both labels on every circle, from the public state_circles and
 crossing_signs alone; the package builds only the marked-circle
 subcomplex and doubles its ranks.
+
+checkerboard colors the faces of the public faces walk by a search over
+their dart adjacency, and checkerboard_goeritz builds the Goeritz
+matrix from it; minor_smoothing_determinants reads each crossing's
+contraction as a minor of that matrix, eliminated over the rationals.
+The package colors by corner alternation and reads every contraction
+off one adjugate.
 """
 
 from fractions import Fraction
 
 from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
-from qalinks.diagram import LinkDiagram, crossing_signs, state_circles
+from qalinks.diagram import (
+    DisconnectedDiagramError, LinkDiagram, crossing_signs, faces,
+    graph_components, state_circles,
+)
 from qalinks.invariants import LaurentPoly
 
 
@@ -338,3 +348,105 @@ def cube_d_squared_zero(d) -> bool:
             if acc:
                 return False
     return True
+
+
+def checkerboard(d):
+    """Faces plus a proper 2-coloring (0/1) of the face adjacency, face
+    0 colored 0."""
+    if d.n == 0:
+        raise DisconnectedDiagramError("no crossings to color around")
+    fs = faces(d)
+    # a connected diagram with n crossings has n+2 faces by Euler
+    if d.loops or len(fs) != d.n + 2:
+        raise DisconnectedDiagramError("diagram is split")
+    at = {}
+    for i, face in enumerate(fs):
+        for p, q in face:
+            at[(p, q)] = i
+    colors = [None] * len(fs)
+    colors[0] = 0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for p, q in fs[i]:
+            j = at[(q, p)]
+            if colors[j] is None:
+                colors[j] = 1 - colors[i]
+                stack.append(j)
+            elif colors[j] == colors[i]:
+                raise ValueError("faces are not checkerboard colorable")
+    return fs, colors
+
+
+def checkerboard_goeritz(d, color):
+    """(Goeritz matrix, etas, face rows) of the faces of one color, in
+    the package's _goeritz layout: a row per face of the color in face
+    order, eta 1 where those faces sit at corners 0 and 2 (corner s
+    between slots s and s+1), and each crossing's two rows in corner
+    order."""
+    fs, colors = checkerboard(d)
+    corner = {}
+    for i, face in enumerate(fs):
+        for _, q in face:
+            corner[q] = i
+    row = {}
+    for i, col in enumerate(colors):
+        if col == color:
+            row[i] = len(row)
+    g = [[0] * len(row) for _ in row]
+    etas, rows = [], []
+    for c in range(d.n):
+        here = [corner[4 * c + s] for s in range(4)]
+        pair = [s for s in range(4) if colors[here[s]] == color]
+        if pair not in ([0, 2], [1, 3]):
+            raise AssertionError("corners do not alternate")
+        eta = 1 if pair == [0, 2] else -1
+        i, j = row[here[pair[0]]], row[here[pair[1]]]
+        etas.append(eta)
+        rows.append((i, j))
+        if i != j:
+            g[i][j] -= eta
+            g[j][i] -= eta
+            g[i][i] += eta
+            g[j][j] += eta
+    return g, etas, rows
+
+
+def fraction_det(m):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return int(det)
+
+
+def minor_smoothing_determinants(d):
+    """(det of the A smoothing, det of the B smoothing) at each crossing
+    by deletion-contraction on the Tait graph: the contraction is the
+    Goeritz minor without both faces' rows, the deletion det - eta *
+    contraction, and a loop edge contracts to determinant 0."""
+    if d.loops or len(graph_components(d)) != 1:
+        return [(0, 0)] * d.n
+    g, etas, rows = checkerboard_goeritz(d, 0)
+
+    def minor(drop):
+        keep = [r for r in range(len(g)) if r not in drop]
+        return [[g[r][s] for s in keep] for r in keep]
+
+    whole = fraction_det(minor((0,)))
+    out = []
+    for eta, (i, j) in zip(etas, rows):
+        con = 0 if i == j else fraction_det(minor((i, j)))
+        dele = abs(whole - eta * con)
+        out.append((dele, abs(con)) if eta == 1 else (abs(con), dele))
+    return out

@@ -9,7 +9,8 @@ from qalinks import conway
 from qalinks import diagram as D
 
 from oracles import (
-    brute_canonical_code, code_from, dart_faces, r3_moves_every_arc,
+    brute_canonical_code, checkerboard, code_from, dart_faces,
+    r3_moves_every_arc,
 )
 
 
@@ -329,7 +330,7 @@ class TestCorpus:
         assert d.loops == 0
         assert d.n == conway.symbol_crossings(conway.parse(sym))
         assert len(D.faces(d)) == d.n + 2
-        fs, colors = D.checkerboard(d)
+        fs, colors = checkerboard(d)
         assert sorted(set(colors)) == [0, 1]
 
     @pytest.mark.parametrize("sym", SYMBOLS)

@@ -18,11 +18,16 @@ from hypothesis import given, strategies as st
 
 from qalinks import diagram as D
 from qalinks import invariants as I
+from qalinks import qa as Q
 from qalinks.invariants import LaurentPoly
 
-from oracles import OracleUnsupported, cube_bracket, symbol_det
+from oracles import (
+    OracleUnsupported, checkerboard_goeritz, cube_bracket,
+    minor_smoothing_determinants, symbol_det,
+)
 from test_diagram import SYMBOLS, mixed_closures, shuffled
 from test_homology import BATTERY
+from test_qa import NEGATIVE_DIAGRAMS
 
 
 def build(s):
@@ -301,6 +306,21 @@ class TestIntDet:
         assert I._int_det(m) == -6
         assert m == [[0, 2], [3, 1]]
 
+    def test_adjugate_matches_cofactors(self):
+        for m in self.MATRICES:
+            det, adj = I._det_adj(m)
+            assert det == leibniz_det(m), m
+            if det == 0:
+                assert adj is None, m
+                continue
+            n = len(m)
+            # adj[i][j] is the (j, i) cofactor
+            want = [[(-1) ** (i + j) * leibniz_det(
+                [[m[r][c] for c in range(n) if c != i]
+                 for r in range(n) if r != j]) for j in range(n)]
+                for i in range(n)]
+            assert adj == want, m
+
 
 def braid_closures(seed, count):
     """Seeded 2-4-strand braid closures after simplify, links included."""
@@ -314,9 +334,33 @@ def braid_closures(seed, count):
     return out
 
 
+def search_nodes():
+    """The diagrams qa_search decodes on NEGATIVE_DIAGRAMS and 6*2.p
+    1.-2 0.-1.-2 for p = 2, 3, one per code, with crossings."""
+    nodes, real = {}, Q.from_code
+
+    def spy(code):
+        nodes[code] = real(code)
+        return nodes[code]
+
+    Q.from_code = spy
+    try:
+        for sym in NEGATIVE_DIAGRAMS + ["6*2.%d 1.-2 0.-1.-2" % p
+                                        for p in (2, 3)]:
+            Q.qa_search(build(sym))
+    finally:
+        Q.from_code = real
+    return [d for d in nodes.values() if d.n]
+
+
 class TestSmoothingDeterminants:
+    CLOSURES = [d for d in braid_closures(11, 120) if d.n]
+    NODES = search_nodes()
+
     def check(self, d):
-        got = I.smoothing_determinants(d)
+        det, got = I.smoothing_determinants(d)
+        assert det == I.determinant(d)
+        assert got == minor_smoothing_determinants(d)
         assert len(got) == d.n
         for c in range(d.n):
             want = (I.determinant(D.smooth(d, c, "A")),
@@ -324,15 +368,34 @@ class TestSmoothingDeterminants:
             assert got[c] == want, (D.canonical_code(d), c)
 
     def test_braid_closures(self):
-        ds = [d for d in braid_closures(11, 120) if d.n]
-        assert any(D.components(d) > 1 for d in ds)
-        for d in ds:
+        assert any(D.components(d) > 1 for d in self.CLOSURES)
+        for d in self.CLOSURES:
             self.check(d)
 
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_symbols(self, sym):
         # includes 5,3,-3, 2 1 1:-2 1 0:2 0 and 6*2.2 1.-2 0.-1.-2
         self.check(build(sym))
+
+    def test_search_nodes(self):
+        assert len(self.NODES) > 400
+        for d in self.NODES:
+            self.check(d)
+
+    def test_corpus_reaches_every_branch(self):
+        # a singular reduced matrix, a loop edge, and edges at face 0,
+        # whose row the reduced matrix drops
+        ds = self.CLOSURES + [build(s) for s in SYMBOLS] + self.NODES
+        connected = [d for d in ds
+                     if not d.loops and len(D.graph_components(d)) == 1]
+        rows = [r for d in connected for r in I._goeritz(d, 0)[2]]
+        assert sum(I.determinant(d) == 0 for d in connected) >= 1
+        assert sum(i == j for i, j in rows) >= 1
+        assert sum(i != j and 0 in (i, j) for i, j in rows) >= 1
+
+    def test_unknot_and_unlinks(self):
+        assert I.smoothing_determinants(D.from_code("|1")) == (1, [])
+        assert I.smoothing_determinants(D.from_code("|2")) == (0, [])
 
     def test_nugatory_crossing(self):
         # a kink is a loop edge of one Tait graph and a bridge of the
@@ -344,15 +407,36 @@ class TestSmoothingDeterminants:
             _, _, rows = I._goeritz(d, 0)
             loop_edges += sum(i == j for i, j in rows)
             self.check(d)
-            last = I.smoothing_determinants(d)[-1]
-            assert sorted(last) == [0, I.determinant(d)]
+            det, pairs = I.smoothing_determinants(d)
+            assert sorted(pairs[-1]) == [0, det]
         assert loop_edges >= 2
 
     def test_split_diagrams_give_zeros(self):
         for d in (D.from_braid([1, 1, 3, 3], 4), D.from_braid([1, 1, 1], 3)):
             assert I.determinant(d) == 0
-            assert I.smoothing_determinants(d) == [(0, 0)] * d.n
+            assert I.smoothing_determinants(d) == (0, [(0, 0)] * d.n)
             self.check(d)
+
+
+class TestGoeritzAgainstCheckerboard:
+    """Corner alternation colors the faces exactly as a search over the
+    face adjacency does, so the matrices, and signature, are the same."""
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_symbols(self, sym):
+        d = build(sym)
+        for color in (0, 1):
+            assert I._goeritz(d, color) == checkerboard_goeritz(d, color)
+
+    def test_closures_and_search_nodes(self):
+        ds = TestSmoothingDeterminants.CLOSURES + TestSmoothingDeterminants.NODES
+        for d in ds:
+            if d.loops or len(D.graph_components(d)) > 1:
+                with pytest.raises(D.DisconnectedDiagramError):
+                    I._goeritz(d, 0)
+                continue
+            for color in (0, 1):
+                assert I._goeritz(d, color) == checkerboard_goeritz(d, color)
 
 
 class TestSignature:

@@ -1,6 +1,8 @@
-"""pyproject.toml names only files and modules that exist."""
+"""pyproject.toml names only files and modules that exist, and every
+committed bench record claims a workload and metric of the benchmark."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,15 @@ def test_pyproject_names_exist():
     for path in data.get("tool", {}).get("pytest", {}).get(
             "ini_options", {}).get("testpaths", []):
         assert (ROOT / path).is_dir(), path
+
+
+def test_bench_records_claim_a_benchmark_metric():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        claim = json.loads(path.read_text())["claim"]
+        assert claim["workload"] in workloads, path.name
+        assert claim["metric"] in metrics, path.name
