@@ -181,7 +181,7 @@ def tangle_mirror(t: Tangle) -> Tangle:
     return Tangle(t.n, arcs, t.loops)
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkDiagram:
     n: int
     adj: dict
@@ -584,6 +584,15 @@ def state_circles(d: LinkDiagram, state: int):
     partner plug (slot s^1 under A, 3-s under B), and so on; circles
     come in the order of their smallest plugs.  A circle that a state
     change leaves untouched keeps the identical tuple.
+
+    So the index of a circle is the number of circles whose smallest
+    plug is smaller, and the homology module relies on what that gives
+    when bit c is set.  If circles a < b of the state meet crossing c
+    they merge, at index a, and each circle past b moves down one.  If
+    one circle a meets it twice it splits: the part holding a's
+    smallest plug stays at a, the other part takes the index w it gets
+    among the new circles, and each circle from w on moves up one.
+    The circle through plug 0 is always circle 0.
     """
     adj = d.adj
     seen = bytearray(4 * d.n)

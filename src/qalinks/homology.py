@@ -24,13 +24,16 @@ rank at (i, j) is counted at j and again at j + 2.  The empty diagram
 has no circle to mark; its table {(0, 0): 1} is returned as is.
 
 The circles of every state come once from diagram.state_circles, kept
-as two byte strings: the plug -> circle labels and the smallest plug of
-each circle; free loops take the last d.loops labels.  The edge that
-flips crossing c touches exactly the circles labelled at plugs
-4c..4c+3 of each end state: one on the source side and two on the
-target side is a split, the other way round a merge.  Every other
-circle is the same plug set at both ends, so it maps through its
-smallest plug.
+as a byte string of plug -> circle labels; free loops take the last
+d.loops labels.  The A smoothing joins plugs (0,1) and (2,3), so the
+edge that flips crossing c touches the source circles a and b at plugs
+4c and 4c + 2, and since state_circles numbers circles by their
+smallest plugs, the indices alone give the edge's map.  A merge (a < b)
+gives the merged circle index a and moves every circle above b down
+one.  A split (a = b) leaves index a to the part through a's smallest
+plug and inserts the other part at the index w it has in the target,
+the one of plugs 4c and 4c + 1 that is not a, moving every circle from
+w up one.  So a labeling's image is a few shifts and masks of its bits.
 
 The complex is built one level at a time.  The differential preserves
 j and raises the state weight r by one, so the states are grouped by
@@ -73,12 +76,18 @@ def _levels(d: LinkDiagram, n_minus: int):
     weight r: dims maps j to the column count of block (r, j), and
     rows[j] holds its differential rows, bitmasks over the columns of
     block (r + 1, j).  A labeling x has bit 0 set, and its column is
-    numbered by x >> 1.  Only levels r and r + 1 are numbered at once."""
+    numbered by x >> 1.  Only levels r and r + 1 are numbered at once.
+
+    The edge at crossing c maps x by its circle indices.  A merge of
+    a < b sends x to y = (x & (2^b - 1)) | (x >> (b+1) << b) with bit a
+    set to x_a | x_b, or to 0 when both are set.  A split of a, the new
+    circle at w, sends x to y = (x & (2^w - 1)) | (x >> w << (w+1)) plus
+    2^w when x_a is set, and to (y | 2^a) + (y | 2^w) when it is not."""
     n = d.n
     shift = n - 3 * n_minus  # n_plus - 2 n_minus
-    # per state: plug -> circle index, each circle's smallest plug, and
-    # the circle count with the free loops as the last d.loops indices
-    lab, first, ks = [], [], []
+    # per state: plug -> circle index, and the circle count with the
+    # free loops as the last d.loops indices
+    lab, ks = [], []
     for mask in range(1 << n):
         circles = state_circles(d, mask)
         here = bytearray(4 * n)
@@ -86,7 +95,6 @@ def _levels(d: LinkDiagram, n_minus: int):
             for p in circle:
                 here[p] = i
         lab.append(bytes(here))
-        first.append(bytes(circle[0] for circle in circles))
         ks.append(len(circles) + d.loops)
     total = sum(1 << k for k in ks)
     if total > DIM_CAP:
@@ -115,46 +123,30 @@ def _levels(d: LinkDiagram, n_minus: int):
         for mask in weight[r]:
             k = ks[mask]
             ls = lab[mask]
-            img = [0] * len(col[mask])
+            xs = range(1, 1 << k, 2)
+            img = [0] * len(xs)
             for c in range(n):
                 if mask >> c & 1:
                     continue
-                t_mask = mask | 1 << c
-                lt, ct, kt = lab[t_mask], col_up[t_mask], ks[t_mask]
-                plugs = range(4 * c, 4 * c + 4)
-                src = sorted({ls[p] for p in plugs})
-                dst = sorted({lt[p] for p in plugs})
-                # image of every circle the edge leaves alone, by its
-                # smallest plug; touched circles transfer nothing
-                tbl = [0 if b in src else 1 << lt[p]
-                       for b, p in enumerate(first[mask])]
-                tbl += [1 << i for i in range(kt - d.loops, kt)]
-                # walk the labelings with the marked circle 0 at x in
-                # Gray order over circles 1..k-1, one transferred bit
-                # per step
-                x, t = 1, tbl[0]
-                if len(src) == 2:  # merge of circles a and b into m
-                    ab, m = 1 << src[0] | 1 << src[1], 1 << dst[0]
-                    for g in range(1 << k - 1):
-                        if g:
-                            flip = (g & -g).bit_length()
-                            x ^= 1 << flip
-                            t ^= tbl[flip]
-                        if x & ab != ab:
-                            img[x >> 1] ^= 1 << ct[
-                                (t | m if x & ab else t) >> 1]
-                else:  # split of circle a into u and v
-                    a, u, v = 1 << src[0], 1 << dst[0], 1 << dst[1]
-                    for g in range(1 << k - 1):
-                        if g:
-                            flip = (g & -g).bit_length()
-                            x ^= 1 << flip
-                            t ^= tbl[flip]
-                        if x & a:
-                            img[x >> 1] ^= 1 << ct[(t | u | v) >> 1]
-                        else:
-                            img[x >> 1] ^= (1 << ct[(t | u) >> 1]
-                                            ^ 1 << ct[(t | v) >> 1])
+                ct = col_up[mask | 1 << c]
+                a, b = ls[4 * c], ls[4 * c + 2]
+                if a != b:  # merge
+                    if a > b:
+                        a, b = b, a
+                    lo, ab, m = (1 << b) - 1, 1 << a | 1 << b, 1 << a
+                    img = [i if x & ab == ab else
+                           i ^ 1 << ct[(x & lo | x >> b + 1 << b
+                                        | x >> b - a & m) >> 1]
+                           for i, x in zip(img, xs)]
+                else:  # split
+                    lt = lab[mask | 1 << c]
+                    # the part without a's smallest plug comes after a
+                    w = max(lt[4 * c], lt[4 * c + 1])
+                    lo, m, mw = (1 << w) - 1, 1 << a, 1 << w
+                    img = [i ^ 1 << ct[(y | mw) >> 1]
+                           ^ (0 if x & m else 1 << ct[(y | m) >> 1])
+                           for i, x in zip(img, xs)
+                           for y in (x & lo | x >> w << w + 1,)]
             base = r + shift + k - 2
             for h, idx in enumerate(col[mask]):
                 rows[base - 2 * h.bit_count()][idx] = img[h]
@@ -184,10 +176,12 @@ def khovanov_f2(d: LinkDiagram) -> dict:
     n_minus = _n_minus(d)
     ranks, below = {}, {}
     for r, dims, rows in _levels(d, n_minus):
-        rank_d = {j: _rank(rws) for j, rws in rows.items()}
+        i = r - n_minus
+        # each block is dropped once ranked, before the next level
+        rank_d = {j: _rank(rows.pop(j)) for j in dims}
         for j, dim in dims.items():
             h = dim - rank_d[j] - below.get(j, 0)
-            for key in (r - n_minus, j), (r - n_minus, j + 2):
+            for key in (i, j), (i, j + 2):
                 ranks[key] = ranks.get(key, 0) + h
         below = rank_d
     return {key: h for key, h in sorted(ranks.items()) if h}
@@ -214,7 +208,7 @@ def d_squared_zero(d: LinkDiagram) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThinnessReport:
     diagonals: tuple
     width: int

@@ -257,9 +257,10 @@ def determinant(d) -> int:
     audits recompute with it."""
     if d.n == 0:
         return 1 if d.loops == 1 else 0
-    if d.loops or len(diag.graph_components(d)) > 1:
+    try:
+        g, _, _ = _goeritz(d, 0)
+    except diag.DisconnectedDiagramError:
         return 0
-    g, _, _ = _goeritz(d, 0)
     return abs(_int_det(_minor(g, (0,))))
 
 
@@ -385,15 +386,12 @@ def signature(d) -> int:
         if d.loops == 1:
             return 0
         raise diag.DisconnectedDiagramError("signature needs one diagram")
-    if d.loops or len(diag.graph_components(d)) > 1:
-        raise diag.DisconnectedDiagramError("signature needs one diagram")
     return _signature_colored(d, 0)
 
 
 def _signature_colored(d, color):
     g, etas, _ = _goeritz(d, color)
-    sig = _sym_signature([[Fraction(v) for v in row]
-                          for row in _minor(g, (0,))])
+    sig = _sym_signature(_minor(g, (0,)))
     # a crossing pierces the white surface coherently when its sign
     # agrees with its corner type
     mu = sum(eta for sign, eta in zip(diag.crossing_signs(d), etas)
@@ -453,19 +451,29 @@ def _det_adj(m):
 
 
 def _sym_signature(m):
-    """Signature of a symmetric matrix over the rationals."""
-    m = [row[:] for row in m]
-    sig = 0
+    """Signature of a symmetric integer matrix, in integers.
+
+    The pivots are those of Lagrange's reduction: the first nonzero
+    diagonal entry, or, with the diagonal all zero, the first nonzero
+    off-diagonal pair (a hyperbolic plane, signature 0).  The matrix is
+    held as D times the Schur complement of the pivots so far, where D
+    is the determinant of their block; by Sylvester's identity every
+    entry is then a minor of m, so each division is exact, as in
+    Bareiss.  A diagonal pivot p counts sign(p / D) and becomes D; a
+    pair with entry b turns D into -b^2 / D.
+    """
+    sig, den = 0, 1
     while m:
         n = len(m)
         pivot = next((i for i in range(n) if m[i][i]), None)
         if pivot is not None:
             i = pivot
             a = m[i][i]
-            sig += 1 if a > 0 else -1
+            sig += 1 if (a > 0) == (den > 0) else -1
             rest = [r for r in range(n) if r != i]
-            nxt = [[m[r][t] - m[r][i] * m[i][t] / a for t in rest] for r in rest]
-            m = nxt
+            m = [[(a * m[r][t] - m[r][i] * m[i][t]) // den for t in rest]
+                 for r in rest]
+            den = a
             continue
         off = next(((i, j) for i in range(n) for j in range(i + 1, n)
                     if m[i][j]), None)
@@ -474,8 +482,7 @@ def _sym_signature(m):
         i, j = off
         b = m[i][j]
         rest = [r for r in range(n) if r not in (i, j)]
-        # hyperbolic pair: contributes +1 and -1
-        nxt = [[m[r][t] - (m[r][i] * m[j][t] + m[r][j] * m[i][t]) / b
-                for t in rest] for r in rest]
-        m = nxt
+        m = [[b * (m[r][i] * m[j][t] + m[r][j] * m[i][t] - b * m[r][t])
+              // (den * den) for t in rest] for r in rest]
+        den = -b * b // den
     return sig

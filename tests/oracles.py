@@ -38,6 +38,9 @@ matrix from it; minor_smoothing_determinants reads each crossing's
 contraction as a minor of that matrix, eliminated over the rationals.
 The package colors by corner alternation and reads every contraction
 off one adjugate.
+
+fraction_sym_signature is Lagrange's reduction of a symmetric matrix
+over the rationals; the package runs the same pivots on integers.
 """
 
 from fractions import Fraction
@@ -450,3 +453,32 @@ def minor_smoothing_determinants(d):
         dele = abs(whole - eta * con)
         out.append((dele, abs(con)) if eta == 1 else (abs(con), dele))
     return out
+
+
+def fraction_sym_signature(m):
+    """Signature of a symmetric matrix by Lagrange's reduction over the
+    rationals: a nonzero diagonal pivot counts its sign, and with the
+    diagonal all zero a nonzero pair splits off a hyperbolic plane."""
+    m = [[Fraction(x) for x in row] for row in m]
+    sig = 0
+    while m:
+        n = len(m)
+        pivot = next((i for i in range(n) if m[i][i]), None)
+        if pivot is not None:
+            i = pivot
+            a = m[i][i]
+            sig += 1 if a > 0 else -1
+            rest = [r for r in range(n) if r != i]
+            m = [[m[r][t] - m[r][i] * m[i][t] / a for t in rest]
+                 for r in rest]
+            continue
+        off = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                    if m[i][j]), None)
+        if off is None:
+            break
+        i, j = off
+        b = m[i][j]
+        rest = [r for r in range(n) if r not in (i, j)]
+        m = [[m[r][t] - (m[r][i] * m[j][t] + m[r][j] * m[i][t]) / b
+              for t in rest] for r in rest]
+    return sig

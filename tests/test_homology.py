@@ -153,6 +153,65 @@ class TestReducedAgainstCube:
         assert cube_d_squared_zero(D.build(sym))
 
 
+class TestEdgeIndexRule:
+    """The circle indices of an edge's two end states, as state_circles
+    numbers them, follow the rule the complex is built on.  A merge of
+    the circles a < b at plugs 4c and 4c + 2 leaves the merged circle
+    at a and moves every circle above b down one; a split of a leaves
+    the part through a's smallest plug at a, inserts the other part at
+    w, its target index at plug 4c or 4c + 1, and moves every circle
+    from w up one.  Free loops count as the last circles."""
+
+    CLOSURES = mixed_closures(19, 80, max_strands=5)
+
+    @staticmethod
+    def circles(d, mask):
+        return ([frozenset(c) for c in D.state_circles(d, mask)]
+                + [("loop", i) for i in range(d.loops)])
+
+    def check(self, d):
+        edges = 0
+        states = [self.circles(d, mask) for mask in range(1 << d.n)]
+        for mask, src in enumerate(states):
+            ls = {p: i for i, circle in enumerate(src[:len(src) - d.loops])
+                  for p in circle}
+            for c in range(d.n):
+                if mask >> c & 1:
+                    continue
+                dst = states[mask | 1 << c]
+                lt = {p: i for i, circle in enumerate(dst[:len(dst) - d.loops])
+                      for p in circle}
+                assert ls[0] == lt[0] == 0  # the marked circle
+                a, b = ls[4 * c], ls[4 * c + 2]
+                if a != b:
+                    a, b = min(a, b), max(a, b)
+                    assert dst == (src[:a] + [src[a] | src[b]]
+                                   + src[a + 1:b] + src[b + 1:])
+                else:
+                    u, v = lt[4 * c], lt[4 * c + 1]
+                    assert u != v and a in (u, v)
+                    w = u + v - a
+                    assert a < w and min(src[a]) in dst[a]
+                    assert dst[a] | dst[w] == src[a]
+                    assert not dst[a] & dst[w]
+                    assert dst == (src[:a] + [dst[a]] + src[a + 1:w]
+                                   + [dst[w]] + src[w:])
+                edges += 1
+        assert edges == d.n << max(d.n - 1, 0)
+
+    @pytest.mark.parametrize(
+        "sym", [s for s in BATTERY if D.build(s).n <= 10])
+    def test_battery(self, sym):
+        self.check(D.build(sym))
+
+    def test_closures(self):
+        assert any(D.components(d) > 1 and not d.loops for d in self.CLOSURES)
+        assert any(d.loops for d in self.CLOSURES)
+        assert any(len(D.graph_components(d)) > 1 for d in self.CLOSURES)
+        for d in self.CLOSURES:
+            self.check(d)
+
+
 class TestKunneth:
     """A free loop tensors the complex with V = <1, x>, over F2 exactly:
     each rank moves to j - 1 and j + 1."""

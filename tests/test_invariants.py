@@ -23,7 +23,7 @@ from qalinks.invariants import LaurentPoly
 
 from oracles import (
     OracleUnsupported, checkerboard_goeritz, cube_bracket,
-    minor_smoothing_determinants, symbol_det,
+    fraction_sym_signature, minor_smoothing_determinants, symbol_det,
 )
 from test_diagram import SYMBOLS, mixed_closures, shuffled
 from test_homology import BATTERY
@@ -472,6 +472,86 @@ class TestSignature:
     def test_split_diagram_rejected(self):
         with pytest.raises(D.DisconnectedDiagramError):
             I.signature(build("0"))
+
+
+def random_symmetric(seed):
+    """Seeded symmetric integer matrices up to 7x7, some with their
+    signature: plain draws; the same with the diagonal zeroed; the
+    border [[a, a w^T], [a w, Z + a w w^T]] of a zero-diagonal Z, whose
+    Schur complement after the pivot a is Z, so a hyperbolic pair
+    follows a pivot other than 1; and U^T B U for a unit upper
+    triangular U and a block diagonal B of nonzero entries, hyperbolic
+    pairs [[0, b], [b, 0]] and zeros (singular), with B's signature."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(8):
+        for _ in range(10):
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = rng.randint(-3, 3)
+            out.append((m, None))
+            z = [[0 if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(m)]
+            out.append((z, None))
+            if n >= 3:
+                a = rng.choice((-3, -2, 2, 3))
+                w = [rng.randint(-2, 2) for _ in range(n - 1)]
+                out.append(([[a] + [a * x for x in w]]
+                            + [[a * y] + [z[i][j] + a * y * x
+                                          for j, x in enumerate(w)]
+                               for i, y in enumerate(w)], None))
+            b, sig = [[0] * n for _ in range(n)], 0
+            i = 0
+            while i < n:
+                kind = rng.choice("dhz") if i + 1 < n else rng.choice("dz")
+                if kind == "d":
+                    b[i][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+                    sig += 1 if b[i][i] > 0 else -1
+                elif kind == "h":
+                    b[i][i + 1] = b[i + 1][i] = rng.choice((-2, -1, 1, 2))
+                    i += 1
+                i += 1
+            u = [[1 if i == j else rng.randint(-2, 2) if i < j else 0
+                  for j in range(n)] for i in range(n)]
+            out.append(([[sum(u[k][i] * b[k][l] * u[l][j]
+                              for k in range(n) for l in range(n))
+                          for j in range(n)] for i in range(n)], sig))
+    return out
+
+
+class TestSymSignature:
+    """The integer reduction takes the pivots of the rational one, so
+    the two agree exactly, singular matrices included."""
+
+    MATRICES = random_symmetric(23)
+
+    def test_corpus_has_singular_and_zero_diagonal_cases(self):
+        big = [m for m, _ in self.MATRICES if len(m) >= 2]
+        assert sum(I._int_det(m) == 0 for m in big) >= 20
+        assert sum(not any(m[i][i] for i in range(len(m))) and any(map(any, m))
+                   for m in big) >= 20
+
+    def test_random_symmetric(self):
+        for m, sig in self.MATRICES:
+            got = I._sym_signature(m)
+            assert got == fraction_sym_signature(m), m
+            if sig is not None:
+                assert got == sig, m
+
+    def test_goeritz_minors(self):
+        ds = ([build(s) for s in SYMBOLS + BATTERY]
+              + TestSmoothingDeterminants.CLOSURES
+              + mixed_closures(13, 120, max_strands=5))
+        checked = 0
+        for d in ds:
+            if not d.n or d.loops or len(D.graph_components(d)) > 1:
+                continue
+            for color in (0, 1):
+                m = I._minor(I._goeritz(d, color)[0], (0,))
+                assert I._sym_signature(m) == fraction_sym_signature(m), m
+                checked += 1
+        assert checked > 300
 
 
 class TestPolyhedralAnchors:
