@@ -587,12 +587,14 @@ def state_circles(d: LinkDiagram, state: int):
 
     So the index of a circle is the number of circles whose smallest
     plug is smaller, and the homology module relies on what that gives
-    when bit c is set.  If circles a < b of the state meet crossing c
-    they merge, at index a, and each circle past b moves down one.  If
-    one circle a meets it twice it splits: the part holding a's
-    smallest plug stays at a, the other part takes the index w it gets
-    among the new circles, and each circle from w on moves up one.
-    The circle through plug 0 is always circle 0.
+    when bit c is set, both to map each cube edge and to label every
+    state but state 0 from a parent state without walking it.  If
+    circles a < b of the state meet crossing c they merge, at index a,
+    and each circle past b moves down one.  If one circle a meets it
+    twice it splits: the part holding a's smallest plug stays at a, the
+    other part takes the index w it gets among the new circles, and
+    each circle from w on moves up one.  The circle through plug 0 is
+    always circle 0.
     """
     adj = d.adj
     seen = bytearray(4 * d.n)

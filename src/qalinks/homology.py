@@ -23,17 +23,21 @@ at 1, is the same complex two quantum degrees up.  So each reduced
 rank at (i, j) is counted at j and again at j + 2.  The empty diagram
 has no circle to mark; its table {(0, 0): 1} is returned as is.
 
-The circles of every state come once from diagram.state_circles, kept
-as a byte string of plug -> circle labels; free loops take the last
-d.loops labels.  The A smoothing joins plugs (0,1) and (2,3), so the
-edge that flips crossing c touches the source circles a and b at plugs
-4c and 4c + 2, and since state_circles numbers circles by their
-smallest plugs, the indices alone give the edge's map.  A merge (a < b)
-gives the merged circle index a and moves every circle above b down
-one.  A split (a = b) leaves index a to the part through a's smallest
-plug and inserts the other part at the index w it has in the target,
-the one of plugs 4c and 4c + 1 that is not a, moving every circle from
-w up one.  So a labeling's image is a few shifts and masks of its bits.
+Each state's circles are kept as a byte string of plug -> circle
+labels; free loops take the last d.loops labels.  The A smoothing joins
+plugs (0,1) and (2,3), so flipping crossing c from A to B touches the
+circles a and b at plugs 4c and 4c + 2, and since state_circles numbers
+circles by their smallest plugs, the indices alone say what the flip
+does.  A merge (a < b) gives the merged circle index a and moves every
+circle above b down one.  A split (a = b) leaves index a to the part
+through a's smallest plug and inserts the other part at index w, one
+past the circles whose smallest plugs come before its own, moving every
+circle from w up one.  Only state 0 is walked by diagram.state_circles.
+Every other state is labelled from a parent, the state with one of its
+B smoothings back at A, by this rule: a merge is one byte translate, a
+split one walk of the new circle through plug 4c, so a parent that
+merges is preferred.  The same rule maps each edge: a labeling's image
+is a few shifts and masks of its bits.
 
 The complex is built one level at a time.  The differential preserves
 j and raises the state weight r by one, so the states are grouped by
@@ -71,6 +75,65 @@ def _n_minus(d: LinkDiagram) -> int:
     return crossing_signs(d).count(-1)
 
 
+def _labels(d: LinkDiagram):
+    """Per state mask: the plug -> circle label bytes, and the circle
+    count with the free loops.  State 0 is walked by state_circles, every
+    other state derived from a parent by the index rule; for a split the
+    part without a's smallest plug moves to w."""
+    n, adj = d.n, d.adj
+    here = bytearray(4 * n)
+    circles = state_circles(d, 0)
+    for i, circle in enumerate(circles):
+        for p in circle:
+            here[p] = i
+    lab, ks = [bytes(here)], [len(circles) + d.loops]
+    ident, tables = bytes(range(256)), {}
+    for mask in range(1, 1 << n):
+        low, rest = mask & -mask, mask
+        while rest:  # the lowest bit whose parent merges, else the lowest
+            bit = rest & -rest
+            pl = lab[mask ^ bit]
+            c = bit.bit_length() - 1
+            if pl[4 * c] != pl[4 * c + 2]:
+                low = bit
+                break
+            rest ^= bit
+        c = low.bit_length() - 1
+        ls = lab[mask ^ low]
+        a, b = ls[4 * c], ls[4 * c + 2]
+        k = ks[mask ^ low]
+        if a != b:  # merge
+            if a > b:
+                a, b = b, a
+            t = tables.get((a, b))
+            if t is None:
+                t = tables[a, b] = ident[:b] + bytes((a,)) + ident[b:255]
+            lab.append(ls.translate(t))
+            ks.append(k - 1)
+            continue
+        s = ls.index(a)
+        for p0 in 4 * c, 4 * c + 1:  # split: the new circle through p0
+            part, p = [], p0
+            while True:
+                q = adj[p]
+                part += (p, q)
+                p = q ^ 3 if mask >> (q >> 2) & 1 else q ^ 1
+                if p == p0:
+                    break
+            if s not in part:
+                break
+        w = max(ls[:min(part)]) + 1
+        t = tables.get(w)
+        if t is None:
+            t = tables[w] = ident[:w] + ident[w + 1:] + ident[255:]
+        here = bytearray(ls.translate(t))
+        for p in part:
+            here[p] = w
+        lab.append(bytes(here))
+        ks.append(k + 1)
+    return lab, ks
+
+
 def _levels(d: LinkDiagram, n_minus: int):
     """Yield (r, dims, rows) for r = 0..n, the marked subcomplex at state
     weight r: dims maps j to the column count of block (r, j), and
@@ -78,24 +141,16 @@ def _levels(d: LinkDiagram, n_minus: int):
     block (r + 1, j).  A labeling x has bit 0 set, and its column is
     numbered by x >> 1.  Only levels r and r + 1 are numbered at once.
 
-    The edge at crossing c maps x by its circle indices.  A merge of
-    a < b sends x to y = (x & (2^b - 1)) | (x >> (b+1) << b) with bit a
-    set to x_a | x_b, or to 0 when both are set.  A split of a, the new
-    circle at w, sends x to y = (x & (2^w - 1)) | (x >> w << (w+1)) plus
-    2^w when x_a is set, and to (y | 2^a) + (y | 2^w) when it is not."""
+    The labels of every state come from _labels, each from a parent
+    state by one merge or split.  The edge at crossing c maps x by its
+    circle indices.  A merge of a < b sends x to
+    y = (x & (2^b - 1)) | (x >> (b+1) << b) with bit a set to
+    x_a | x_b, or to 0 when both are set.  A split of a, the new circle
+    at w, sends x to y = (x & (2^w - 1)) | (x >> w << (w+1)) plus 2^w
+    when x_a is set, and to (y | 2^a) + (y | 2^w) when it is not."""
     n = d.n
     shift = n - 3 * n_minus  # n_plus - 2 n_minus
-    # per state: plug -> circle index, and the circle count with the
-    # free loops as the last d.loops indices
-    lab, ks = [], []
-    for mask in range(1 << n):
-        circles = state_circles(d, mask)
-        here = bytearray(4 * n)
-        for i, circle in enumerate(circles):
-            for p in circle:
-                here[p] = i
-        lab.append(bytes(here))
-        ks.append(len(circles) + d.loops)
+    lab, ks = _labels(d)
     total = sum(1 << k for k in ks)
     if total > DIM_CAP:
         raise SizeLimitError("chain dimension %d exceeds the cap %d"

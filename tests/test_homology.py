@@ -212,6 +212,53 @@ class TestEdgeIndexRule:
             self.check(d)
 
 
+class TestStateLabels:
+    """_labels derives each state's plug -> circle labels from a parent
+    state by one merge or split; they equal a fresh state_circles walk
+    of every state, free loops counted in the circle count."""
+
+    CLOSURES = TestEdgeIndexRule.CLOSURES
+
+    @staticmethod
+    def walked(d):
+        lab, ks = [], []
+        for mask in range(1 << d.n):
+            circles = D.state_circles(d, mask)
+            here = bytearray(4 * d.n)
+            for i, circle in enumerate(circles):
+                for p in circle:
+                    here[p] = i
+            lab.append(bytes(here))
+            ks.append(len(circles) + d.loops)
+        return lab, ks
+
+    def check(self, d):
+        """Compare, and count the states that a merge can reach (some
+        parent has one circle more) and those only a split reaches."""
+        lab, ks = self.walked(d)
+        assert H._labels(d) == (lab, ks)
+        merges = splits = 0
+        for mask in range(1, 1 << d.n):
+            if any(ks[mask ^ 1 << c] > ks[mask]
+                   for c in range(d.n) if mask >> c & 1):
+                merges += 1
+            else:
+                splits += 1
+        return merges, splits
+
+    @pytest.mark.parametrize(
+        "sym", [s for s in BATTERY if D.build(s).n <= 10])
+    def test_battery(self, sym):
+        self.check(D.build(sym))
+
+    def test_closures_take_both_branches(self):
+        merges = splits = 0
+        for d in self.CLOSURES:
+            m, s = self.check(d)
+            merges, splits = merges + m, splits + s
+        assert merges and splits
+
+
 class TestKunneth:
     """A free loop tensors the complex with V = <1, x>, over F2 exactly:
     each rank moves to j - 1 and j + 1."""

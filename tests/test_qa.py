@@ -422,7 +422,9 @@ def test_greene_pretzel_values():
     assert greene_pretzel_qa((2, 2), 3)
     assert greene_pretzel_qa((3, 4, 5), 4)
     assert not greene_pretzel_qa((3, 3), 3)
-    assert not greene_pretzel_qa((2, 5), 1)
+    assert greene_pretzel_qa((2, 5), 1)  # 2-bridge, det 3
+    assert not greene_pretzel_qa((2, 2), 1)  # 2-bridge, det 0
+    assert not greene_pretzel_qa((2, 3, 4), 1)
 
 
 def test_greene_pretzel_validation():
@@ -443,3 +445,12 @@ def test_pretzel_sweep_matches_criterion(p, q):
     out = run(sym, node_budget=30000)
     assert out.status != "budget-exceeded"
     assert out.certified == greene_pretzel_qa(p, q), sym
+
+
+@pytest.mark.parametrize("p", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_pretzel_q1_column_matches_search(p):
+    # P(p1, p2, -1) is 2-bridge: certified exactly when det is not 0
+    sym = "%d,%d,-1" % p
+    out = run(sym, node_budget=30000)
+    assert out.status != "budget-exceeded"
+    assert out.certified == greene_pretzel_qa(p, 1), sym
