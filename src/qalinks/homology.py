@@ -37,7 +37,9 @@ Every other state is labelled from a parent, the state with one of its
 B smoothings back at A, by this rule: a merge is one byte translate, a
 split one walk of the new circle through plug 4c, so a parent that
 merges is preferred.  The same rule maps each edge: a labeling's image
-is a few shifts and masks of its bits.
+is a few shifts and masks of its bits, fixed by the source state's
+circle count and the touched indices alone, so the images of each such
+key are tabulated once per call and read by every edge with that key.
 
 The complex is built one level at a time.  The differential preserves
 j and raises the state weight r by one, so the states are grouped by
@@ -134,6 +136,28 @@ def _labels(d: LinkDiagram):
     return lab, ks
 
 
+def _merge_images(k, a, b):
+    """The merge of circles a < b of a state with k circles, as one
+    target per odd labeling x < 2^k in order: the slot y >> 1 of the
+    image y in the target state's columns, or -1 where x_a = x_b = 1
+    and the image is 0."""
+    lo, ab, m = (1 << b) - 1, 1 << a | 1 << b, 1 << a
+    return [-1 if x & ab == ab else (x & lo | x >> b + 1 << b
+                                     | x >> b - a & m) >> 1
+            for x in range(1, 1 << k, 2)]
+
+
+def _split_images(k, a, w):
+    """The split of circle a of a state with k circles, the new circle
+    at w > a, as one pair (u, v) of target slots per odd labeling
+    x < 2^k in order: the image is the sum of the two, and v = -1 where
+    x_a = 1 and the image is the one term u."""
+    lo, m, mw = (1 << w) - 1, 1 << a, 1 << w
+    return [((y | mw) >> 1, -1 if x & m else (y | m) >> 1)
+            for x in range(1, 1 << k, 2)
+            for y in (x & lo | x >> w << w + 1,)]
+
+
 def _levels(d: LinkDiagram, n_minus: int):
     """Yield (r, dims, rows) for r = 0..n, the marked subcomplex at state
     weight r: dims maps j to the column count of block (r, j), and
@@ -147,7 +171,11 @@ def _levels(d: LinkDiagram, n_minus: int):
     y = (x & (2^b - 1)) | (x >> (b+1) << b) with bit a set to
     x_a | x_b, or to 0 when both are set.  A split of a, the new circle
     at w, sends x to y = (x & (2^w - 1)) | (x >> w << (w+1)) plus 2^w
-    when x_a is set, and to (y | 2^a) + (y | 2^w) when it is not."""
+    when x_a is set, and to (y | 2^a) + (y | 2^w) when it is not.
+    These images depend on the state only through its circle count k
+    and the touched indices, so each key (k, a, b) or (k, a, w) is
+    tabulated once per call by _merge_images or _split_images, and an
+    edge reads its table and the target state's column numbers."""
     n = d.n
     shift = n - 3 * n_minus  # n_plus - 2 n_minus
     lab, ks = _labels(d)
@@ -171,6 +199,7 @@ def _levels(d: LinkDiagram, n_minus: int):
                 here.append(idx)
         return dims, col
 
+    merges, splits = {}, {}
     dims, col = number(0)
     for r in range(n + 1):
         dims_up, col_up = number(r + 1)
@@ -178,30 +207,28 @@ def _levels(d: LinkDiagram, n_minus: int):
         for mask in weight[r]:
             k = ks[mask]
             ls = lab[mask]
-            xs = range(1, 1 << k, 2)
-            img = [0] * len(xs)
+            img = [0] * (1 << k - 1)
             for c in range(n):
                 if mask >> c & 1:
                     continue
                 ct = col_up[mask | 1 << c]
                 a, b = ls[4 * c], ls[4 * c + 2]
                 if a != b:  # merge
-                    if a > b:
-                        a, b = b, a
-                    lo, ab, m = (1 << b) - 1, 1 << a | 1 << b, 1 << a
-                    img = [i if x & ab == ab else
-                           i ^ 1 << ct[(x & lo | x >> b + 1 << b
-                                        | x >> b - a & m) >> 1]
-                           for i, x in zip(img, xs)]
+                    key = (k, a, b) if a < b else (k, b, a)
+                    t = merges.get(key)
+                    if t is None:
+                        t = merges[key] = _merge_images(*key)
+                    img = [i if u < 0 else i ^ 1 << ct[u]
+                           for i, u in zip(img, t)]
                 else:  # split
                     lt = lab[mask | 1 << c]
                     # the part without a's smallest plug comes after a
-                    w = max(lt[4 * c], lt[4 * c + 1])
-                    lo, m, mw = (1 << w) - 1, 1 << a, 1 << w
-                    img = [i ^ 1 << ct[(y | mw) >> 1]
-                           ^ (0 if x & m else 1 << ct[(y | m) >> 1])
-                           for i, x in zip(img, xs)
-                           for y in (x & lo | x >> w << w + 1,)]
+                    key = (k, a, max(lt[4 * c], lt[4 * c + 1]))
+                    t = splits.get(key)
+                    if t is None:
+                        t = splits[key] = _split_images(*key)
+                    img = [i ^ 1 << ct[u] ^ (0 if v < 0 else 1 << ct[v])
+                           for i, (u, v) in zip(img, t)]
             base = r + shift + k - 2
             for h, idx in enumerate(col[mask]):
                 rows[base - 2 * h.bit_count()][idx] = img[h]

@@ -160,7 +160,13 @@ class TestEdgeIndexRule:
     at a and moves every circle above b down one; a split of a leaves
     the part through a's smallest plug at a, inserts the other part at
     w, its target index at plug 4c or 4c + 1, and moves every circle
-    from w up one.  Free loops count as the last circles."""
+    from w up one.  Free loops count as the last circles.
+
+    The image tables _levels reads follow from the same circles: the
+    entry for labeling x (bit i set when circle i carries x) is the
+    image's slot y >> 1 in the end state, -1 for a merge that sends x
+    to 0, and for a split the pair (u, v) of its terms' slots, v = -1
+    when the image is one term."""
 
     CLOSURES = mixed_closures(19, 80, max_strands=5)
 
@@ -169,8 +175,33 @@ class TestEdgeIndexRule:
         return ([frozenset(c) for c in D.state_circles(d, mask)]
                 + [("loop", i) for i in range(d.loops)])
 
+    @staticmethod
+    def images(src, dst, a, b, w):
+        """The table entry of every odd labeling of src, derived from
+        the circles: merge a < b when w is None, else split a with the
+        new circle at w."""
+        def slot(xs):  # the end-state labeling carrying x on circles xs
+            y = sum(1 << i for i, circle in enumerate(dst) if circle in xs)
+            assert y & 1  # the marked circle keeps its x
+            return y >> 1
+
+        want = []
+        for x in range(1, 1 << len(src), 2):
+            xs = {circle for i, circle in enumerate(src) if x >> i & 1}
+            if w is None:
+                hit = xs & {src[a], src[b]}
+                want.append(-1 if len(hit) == 2 else
+                            slot(xs | {src[a] | src[b]} if hit else xs))
+            elif src[a] in xs:
+                want.append((slot(xs | {dst[a], dst[w]}), -1))
+            else:
+                want.append((slot(xs | {dst[w]}), slot(xs | {dst[a]})))
+        return want
+
     def check(self, d):
-        edges = 0
+        """Check every edge, and count the zero merge images and the
+        two-term split images."""
+        edges = zeros = pairs = 0
         states = [self.circles(d, mask) for mask in range(1 << d.n)]
         for mask, src in enumerate(states):
             ls = {p: i for i, circle in enumerate(src[:len(src) - d.loops])
@@ -187,6 +218,9 @@ class TestEdgeIndexRule:
                     a, b = min(a, b), max(a, b)
                     assert dst == (src[:a] + [src[a] | src[b]]
                                    + src[a + 1:b] + src[b + 1:])
+                    table = H._merge_images(len(src), a, b)
+                    assert table == self.images(src, dst, a, b, None)
+                    zeros += table.count(-1)
                 else:
                     u, v = lt[4 * c], lt[4 * c + 1]
                     assert u != v and a in (u, v)
@@ -196,8 +230,12 @@ class TestEdgeIndexRule:
                     assert not dst[a] & dst[w]
                     assert dst == (src[:a] + [dst[a]] + src[a + 1:w]
                                    + [dst[w]] + src[w:])
+                    table = H._split_images(len(src), a, w)
+                    assert table == self.images(src, dst, a, None, w)
+                    pairs += sum(second >= 0 for _, second in table)
                 edges += 1
         assert edges == d.n << max(d.n - 1, 0)
+        return zeros, pairs
 
     @pytest.mark.parametrize(
         "sym", [s for s in BATTERY if D.build(s).n <= 10])
@@ -208,8 +246,11 @@ class TestEdgeIndexRule:
         assert any(D.components(d) > 1 and not d.loops for d in self.CLOSURES)
         assert any(d.loops for d in self.CLOSURES)
         assert any(len(D.graph_components(d)) > 1 for d in self.CLOSURES)
+        zeros = pairs = 0
         for d in self.CLOSURES:
-            self.check(d)
+            z, p = self.check(d)
+            zeros, pairs = zeros + z, pairs + p
+        assert zeros and pairs
 
 
 class TestStateLabels:

@@ -437,20 +437,11 @@ def test_greene_pretzel_validation():
 
 
 @pytest.mark.parametrize("p", [(2, 2), (2, 3), (3, 3), (2, 4)])
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_pretzel_sweep_matches_criterion(p, q):
-    # the q = 1 column is excluded: there the pretzel degenerates to a
-    # rational link (or the unknot) and the closed form goes stale
+    # at q = 1 the pretzel P(p1, p2, -1) is 2-bridge: certified exactly
+    # when det is not 0
     sym = "%d,%d,-%d" % (p[0], p[1], q)
     out = run(sym, node_budget=30000)
     assert out.status != "budget-exceeded"
     assert out.certified == greene_pretzel_qa(p, q), sym
-
-
-@pytest.mark.parametrize("p", [(2, 2), (2, 3), (3, 3), (2, 4)])
-def test_pretzel_q1_column_matches_search(p):
-    # P(p1, p2, -1) is 2-bridge: certified exactly when det is not 0
-    sym = "%d,%d,-1" % p
-    out = run(sym, node_budget=30000)
-    assert out.status != "budget-exceeded"
-    assert out.certified == greene_pretzel_qa(p, 1), sym
