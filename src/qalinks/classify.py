@@ -1,4 +1,4 @@
-"""Classifiers on diagrams and Jones polynomials.
+"""Classifiers on diagrams, Jones polynomials and Montesinos links.
 
 Four loosely related tests live here:
 
@@ -6,21 +6,34 @@ Four loosely related tests live here:
   of diagram.state_circles;
 * the "special" pattern of a Jones polynomial (non-alternating signs
   or gaps in the exponent range);
-* the thickness predicate for reduced Montesinos symbols,
-  min(p_1, ..., p_m) >= q on the reduced numbers;
+* quasi-alternating Montesinos links, by the classification of
+  Champanerkar-Kofman (sufficient, arXiv:0712.2265) and Issa
+  (necessary, Proc. AMS 2018).  Reduce M(e; (a_1, b_1), ..., (a_p, b_p))
+  with conway.montesinos_canonical to 0 < b_i < a_i, and set
+  t_i = a_i/b_i, u_i = a_i/(a_i - b_i) and eps = -e.  With p <= 2 the
+  link is 2-bridge and QA iff det != 0.  Otherwise it is QA iff
+  eps >= 0, or eps <= -p, or eps = -1 and u_i > min_{j != i} t_j for
+  some i, or eps = -(p - 1) and t_i > min_{j != i} u_j for some i.
+  On a pretzel P(p_1, ..., p_n, -q) with every p_i >= 2 and q >= 2
+  this is Greene's q > min p_i;
 * evaluation of the side conditions attached to link families
   ("min(q,r)>p" and friends), parsed from the table strings.
 
-All of them are diagram- or polynomial-level: none enumerates
-alternative diagrams of the same link.
+The first two are diagram- or polynomial-level and the third reads a
+Montesinos symbol: none enumerates alternative diagrams of the same
+link, and none searches.
 """
 
 import ast
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .conway import MissingParameterError, ReducedSymbol
+from .conway import (
+    MissingParameterError, MontesinosSpec, montesinos_canonical,
+    montesinos_det,
+)
 from .diagram import LinkDiagram, state_circles
 from .homology import thinness
 from .invariants import LaurentPoly
@@ -110,15 +123,28 @@ def jp_special(j: LaurentPoly) -> JpReport:
     return JpReport(alternating_signs=alternating, has_gaps=gaps)
 
 
-# --- Montesinos thickness predicate -----------------------------------
+# --- quasi-alternating Montesinos links ------------------------------
 
-def montesinos_thick_predicate(r: ReducedSymbol) -> bool:
-    """min over the reduced positive numbers >= the reduced negative one.
+def montesinos_qa(spec: MontesinosSpec) -> bool:
+    """True iff the Montesinos link is quasi-alternating.
 
-    Conjecturally this marks the homologically thick Montesinos links;
-    on pretzels it is the complement of the q > min(p) QA criterion.
+    The closed form of the module docstring, on the canonical branches.
+    An integer branch raises NotMontesinosFormError.
     """
-    return min(r.reduced_p) >= r.reduced_q
+    canon = montesinos_canonical(spec)
+    p = len(canon.branches)
+    if p <= 2:
+        return montesinos_det(canon) != 0
+    eps = -canon.e
+    if eps >= 0 or eps <= -p:
+        return True
+    t = [Fraction(a, b) for a, b in canon.branches]
+    u = [Fraction(a, a - b) for a, b in canon.branches]
+    if eps == -1:
+        return any(u[i] > min(t[:i] + t[i + 1:]) for i in range(p))
+    if eps == -(p - 1):
+        return any(t[i] > min(u[:i] + u[i + 1:]) for i in range(p))
+    return False
 
 
 # --- family condition strings -----------------------------------------

@@ -665,7 +665,10 @@ def montesinos_det(spec: MontesinosSpec) -> int:
 
 
 def montesinos_canonical(spec: MontesinosSpec) -> MontesinosSpec:
-    """Reduce every branch fraction into (0, 1), folding integers into e."""
+    """Reduce every branch fraction into (0, 1), folding integers into e.
+
+    An integer branch (b divisible by a) raises NotMontesinosFormError.
+    """
     e = spec.e
     branches = []
     for a, b in spec.branches:
@@ -674,6 +677,8 @@ def montesinos_canonical(spec: MontesinosSpec) -> MontesinosSpec:
         if a == 0:
             raise NotMontesinosFormError("branch with zero denominator")
         r = b % a
+        if r == 0:
+            raise NotMontesinosFormError("integer branch, fold it into e")
         e -= (b - r) // a
         branches.append((a, r))
     return MontesinosSpec(e, tuple(branches))
@@ -691,11 +696,8 @@ def positive_cf_terms(a, b):
 def montesinos_to_conway(spec: MontesinosSpec):
     """Conway symbol of a Montesinos link, branches as rational parts."""
     canon = montesinos_canonical(spec)
-    parts = []
-    for a, b in canon.branches:
-        if b == 0:
-            raise NotMontesinosFormError("integer branch, fold it into e")
-        parts.append(Seq(tuple(reversed(positive_cf_terms(a, b)))))
+    parts = [Seq(tuple(reversed(positive_cf_terms(a, b))))
+             for a, b in canon.branches]
     filler = Seq((-1,)) if canon.e > 0 else _ONE
     parts.extend([filler] * abs(canon.e))
     if len(parts) < 2:
@@ -723,50 +725,3 @@ def conway_to_montesinos(node) -> MontesinosSpec:
         else:
             branches.append((p, q))
     return MontesinosSpec(e, tuple(branches))
-
-
-@dataclass(frozen=True)
-class ReducedSymbol:
-    """Reduced form of a comma join p_1,...,p_m,-q of rational tangles.
-
-    Each positive part contributes its last twist number, the single
-    negative part contributes the last number of its unmirrored symbol
-    plus one, and one-number parts pass through with their sign dropped.
-    """
-
-    reduced_p: tuple
-    reduced_q: int
-
-
-def reduce_montesinos(node) -> ReducedSymbol:
-    """Collapse each rational part of a Montesinos symbol to one number.
-
-    Expects a comma join whose parts are integer sequences, all of one
-    sign each and exactly one of them negative.  The parser writes a
-    mirrored part "-2 1" as the all-negative sequence (-2, -1), so the
-    sign test is per term.
-    """
-    if isinstance(node, str):
-        node = parse(node)
-    if not isinstance(node, Ram):
-        raise NotMontesinosFormError(render(node))
-    reduced_p = []
-    reduced_q = None
-    for part in ram_summands(node):
-        if not isinstance(part, Seq):
-            raise NotMontesinosFormError(render(part))
-        for t in part.terms:
-            if isinstance(t, Param):
-                raise MissingParameterError(t.name)
-        last = part.terms[-1]
-        if all(t >= 1 for t in part.terms):
-            reduced_p.append(last)
-        elif all(t <= -1 for t in part.terms):
-            if reduced_q is not None:
-                raise NotMontesinosFormError("two negative parts")
-            reduced_q = -last if len(part.terms) == 1 else -last + 1
-        else:
-            raise NotMontesinosFormError(render(part))
-    if reduced_q is None or not reduced_p:
-        raise NotMontesinosFormError(render(node))
-    return ReducedSymbol(tuple(reduced_p), reduced_q)

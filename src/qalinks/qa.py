@@ -262,23 +262,3 @@ def certificate_from_dict(data: dict) -> QACertificate:
         children=tuple(certificate_from_dict(ch) for ch in children),
         via=tuple(via),
     )
-
-
-def greene_pretzel_qa(p, q: int) -> bool:
-    """Pretzel criterion: P(p1,...,pn,-q) qualifies iff q > min(p),
-    except for q = 1 against two strands: P(p1, p2, -1) is 2-bridge, so
-    it qualifies iff its determinant |p1 p2 - p1 - p2| is not 0.
-
-    Valid for n >= 2 strands of p_i >= 2 positive crossings against
-    one strand of q >= 1 negative ones.
-    """
-    p = tuple(p)
-    if len(p) < 2:
-        raise ValueError("need at least two positive strands")
-    if any(x < 2 for x in p):
-        raise ValueError("positive entries must be at least 2")
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if q == 1 and len(p) == 2:
-        return p[0] * p[1] != p[0] + p[1]
-    return q > min(p)

@@ -1,15 +1,23 @@
 """Classifier tests: adequacy, Jones pattern, predicates, conditions."""
 
+import importlib.util
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qalinks import classify as C
 from qalinks import diagram as D
-from qalinks.conway import MissingParameterError, parse, reduce_montesinos, tangle_fraction
-from qalinks.homology import khovanov_f2
+from qalinks.conway import (
+    MissingParameterError, MontesinosSpec, NotMontesinosFormError,
+    conway_to_montesinos, montesinos_to_conway, parse, substitute,
+    tangle_fraction,
+)
+from qalinks.homology import khovanov_f2, thinness
 from qalinks.invariants import LaurentPoly, jones
+from qalinks.qa import SearchConfig, qa_search
+from test_conway import montesinos_specs
 
 
 class TestAdequacy:
@@ -105,15 +113,123 @@ class TestJpPattern:
         assert C.jp_special(p) == C.jp_special(p.reverse())
 
 
+def montesinos_qa(sym):
+    return C.montesinos_qa(conway_to_montesinos(parse(sym)))
+
+
+def bench_corpus():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+# The three-branch symbols a,b,-c on which the paper's reduction
+# (QA iff the last twist of -c, plus one, exceeds the smallest last
+# twist of a and b) says QA while the search and the classification say
+# no; then random.Random(14).sample(..., 10) of the 63 symbols a,b,-c of
+# 6 to 10 crossings whose parts are positive rational symbols with
+# first and last term >= 2, a and b unordered.  Each row is
+# (qa_search status at node budget 3,000, montesinos_qa, F2 width).
+MONTESINOS_TABLE = {
+    "3,2 2,-2 2": ("no-certificate", False, 2),
+    "2 2,4,-2 2": ("no-certificate", False, 2),
+    "3,2 1 2,-2 2": ("no-certificate", False, 2),
+    "2 2,2 2,-2 2": ("no-certificate", False, 2),
+    "3,2 2,-3 2": ("no-certificate", False, 3),
+    "2,2 2,-2": ("no-certificate", False, 3),
+    "2,4,-4": ("certified", True, 2),
+    "2,2 1 1 2,-2": ("no-certificate", False, 3),
+    "2,3 1 2,-2": ("no-certificate", False, 3),
+    "2,2 3,-3": ("certified", True, 2),
+    "2,3,-2 3": ("certified", True, 2),
+    "2,2 2,-3": ("certified", True, 2),
+    "2,2 1 2,-2": ("no-certificate", False, 3),
+    "2,2 4,-2": ("no-certificate", False, 3),
+    "2,4,-3": ("certified", True, 2),
+}
+
+
 class TestMontesinosPredicate:
-    @pytest.mark.parametrize("sym,want", [
+    """C.montesinos_qa, the classification of QA Montesinos links."""
+
+    # the examples of the deleted thickness predicate, whose thick side
+    # was the non-QA side
+    @pytest.mark.parametrize("sym,non_qa", [
         ("3,3,-3", True),
         ("2,2,-4", False),
         ("2,2,-2", True),
         ("2 1,2 1,-3", False),
     ])
-    def test_spec_examples(self, sym, want):
-        assert C.montesinos_thick_predicate(reduce_montesinos(sym)) is want
+    def test_spec_examples(self, sym, non_qa):
+        assert montesinos_qa(sym) is not non_qa
+
+    # the symbols of the deleted reduction test and the four that check
+    # q = 1 and four branches; each agrees with qa_search at budget 3,000
+    @pytest.mark.parametrize("sym,want", [
+        ("3,3,-3", False),
+        ("4,3,-3", False),
+        ("2,2,-4", True),
+        ("2 2,2 1,-2", True),
+        ("-2 1 2,3,3", False),
+        ("2 1,2 1,-3", True),
+        ("2,5,-1", True),  # 2-bridge, det 3
+        ("2,2,2,-1", False),
+        ("2,2,2,-3", True),
+        ("3,3,3,-3", False),
+        ("2,2,2", True),
+        ("3,3", True),  # 2-bridge, det 6
+        ("-2,-2,3", True),
+    ])
+    def test_values(self, sym, want):
+        assert montesinos_qa(sym) is want
+
+    def test_integer_branch_raises(self):
+        for spec in (MontesinosSpec(0, ((3, 1), (3, 1), (2, 4))),
+                     MontesinosSpec(1, ((3, 1), (1, 0)))):
+            with pytest.raises(NotMontesinosFormError):
+                C.montesinos_qa(spec)
+            with pytest.raises(NotMontesinosFormError):
+                montesinos_to_conway(spec)
+
+    def test_needs_concrete_parameters(self):
+        with pytest.raises(MissingParameterError):
+            montesinos_qa("p,3,-2")
+        spec = conway_to_montesinos(substitute(parse("p,3,-2"), {"p": 5}))
+        assert C.montesinos_qa(spec) is False
+
+    @given(montesinos_specs(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_mirror_and_branch_order_invariance(self, spec, shift, flip):
+        want = C.montesinos_qa(spec)
+        mirrored = MontesinosSpec(-spec.e, tuple((a, -b) for a, b in spec.branches))
+        assert C.montesinos_qa(mirrored) is want
+        k = shift % len(spec.branches)
+        branches = spec.branches[k:] + spec.branches[:k]
+        if flip:
+            branches = branches[::-1]
+        assert C.montesinos_qa(MontesinosSpec(spec.e, branches)) is want
+
+    @pytest.mark.parametrize("sym", sorted(MONTESINOS_TABLE))
+    def test_pinned_table(self, sym):
+        d = D.build(sym)
+        out = qa_search(d, SearchConfig(node_budget=3000))
+        width = thinness(khovanov_f2(d), 0).width
+        assert (out.status, montesinos_qa(sym), width) == MONTESINOS_TABLE[sym]
+
+    def test_bench_corpus_agrees(self):
+        # every pretzel the bench certifies is QA, and every Montesinos
+        # negative diagram is not; the last one is a product, no
+        # Montesinos symbol
+        corpus = bench_corpus()
+        for p, q in corpus.PRETZEL_SWEEP:
+            row = corpus.pretzel(p, q)
+            assert montesinos_qa(row.symbol) is (row.expect == "certified")
+        *montesinos, product = corpus.NEGATIVE_DIAGRAMS
+        assert not any(montesinos_qa(s) for s in montesinos)
+        with pytest.raises(NotMontesinosFormError):
+            montesinos_qa(product)
 
 
 class TestFamilyConditions:

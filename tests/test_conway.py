@@ -257,6 +257,15 @@ def test_conway_to_montesinos_rejects_non_montesinos():
         conway_to_montesinos(parse("(2,2) (2,2)"))
 
 
+@pytest.mark.parametrize("sym", [
+    "2 2",            # no comma join
+    "(2,2),3,-2",     # non-rational part
+])
+def test_conway_to_montesinos_rejects_other_shapes(sym):
+    with pytest.raises(NotMontesinosFormError):
+        conway_to_montesinos(parse(sym))
+
+
 @st.composite
 def montesinos_specs(draw):
     k = draw(st.integers(2, 4))
@@ -358,49 +367,3 @@ def poly_nodes(draw):
 def test_render_parse_round_trip(node):
     text = render(node)
     assert parse(text) == node
-
-
-# --- reduced Montesinos symbols ----------------------------------------
-
-
-@pytest.mark.parametrize("sym, p, q", [
-    ("3,3,-3", (3, 3), 3),
-    ("4,3,-3", (4, 3), 3),
-    ("2,2,-4", (2, 2), 4),
-    ("2 2,2 1,-2", (2, 1), 2),
-    # a mirrored multi-number part: the final twist sits one level in
-    ("-2 1 2,3,3", (3, 3), 3),
-    ("2 1,2 1,-3", (1, 1), 3),
-])
-def test_reduce_montesinos(sym, p, q):
-    r = conway.reduce_montesinos(sym)
-    assert (r.reduced_p, r.reduced_q) == (p, q)
-
-
-def test_reduce_montesinos_accepts_parsed_nodes():
-    node = parse("3,3,-3")
-    assert conway.reduce_montesinos(node) == conway.reduce_montesinos("3,3,-3")
-
-
-@pytest.mark.parametrize("sym", [
-    "2 2",            # no comma join
-    "3,3",            # no negative part
-    "-2,-2,3",        # two negative parts
-    "(2,2),3,-2",     # non-sequence part
-])
-def test_reduce_montesinos_rejects_other_shapes(sym):
-    with pytest.raises(NotMontesinosFormError):
-        conway.reduce_montesinos(sym)
-
-
-def test_reduce_montesinos_mixed_sign_part():
-    node = Ram((Seq((2,)), Seq((2, -2)), Seq((-2,))))
-    with pytest.raises(NotMontesinosFormError):
-        conway.reduce_montesinos(node)
-
-
-def test_reduce_montesinos_needs_concrete_parameters():
-    with pytest.raises(MissingParameterError):
-        conway.reduce_montesinos("p,3,-2")
-    r = conway.reduce_montesinos(substitute(parse("p,3,-2"), {"p": 5}))
-    assert r == conway.ReducedSymbol((5, 3), 2)

@@ -10,8 +10,10 @@ from qalinks.invariants import LaurentPoly, determinant, jones
 from qalinks.diagram import ExtensionSignMismatch, ExtensionSpec, extend
 from qalinks.qa import (
     QACertificate, SearchConfig, certificate_from_dict, certificate_to_dict,
-    greene_pretzel_qa, qa_search, verify_certificate,
+    qa_search, verify_certificate,
 )
+from qalinks.classify import montesinos_qa
+from qalinks.conway import conway_to_montesinos, parse
 
 
 def run(sym, **kw):
@@ -418,22 +420,19 @@ def test_extension_grows_crossing_number():
 # --- pretzel criterion -------------------------------------------------
 
 
+def pretzel_qa(p, q):
+    """montesinos_qa on P(p1, ..., pn, -q)."""
+    sym = ",".join(map(str, p)) + ",-%d" % q
+    return montesinos_qa(conway_to_montesinos(parse(sym)))
+
+
 def test_greene_pretzel_values():
-    assert greene_pretzel_qa((2, 2), 3)
-    assert greene_pretzel_qa((3, 4, 5), 4)
-    assert not greene_pretzel_qa((3, 3), 3)
-    assert greene_pretzel_qa((2, 5), 1)  # 2-bridge, det 3
-    assert not greene_pretzel_qa((2, 2), 1)  # 2-bridge, det 0
-    assert not greene_pretzel_qa((2, 3, 4), 1)
-
-
-def test_greene_pretzel_validation():
-    with pytest.raises(ValueError):
-        greene_pretzel_qa((2,), 3)
-    with pytest.raises(ValueError):
-        greene_pretzel_qa((2, 1), 3)
-    with pytest.raises(ValueError):
-        greene_pretzel_qa((2, 2), 0)
+    assert pretzel_qa((2, 2), 3)
+    assert pretzel_qa((3, 4, 5), 4)
+    assert not pretzel_qa((3, 3), 3)
+    assert pretzel_qa((2, 5), 1)  # 2-bridge, det 3
+    assert not pretzel_qa((2, 2), 1)  # 2-bridge, det 0
+    assert not pretzel_qa((2, 3, 4), 1)
 
 
 @pytest.mark.parametrize("p", [(2, 2), (2, 3), (3, 3), (2, 4)])
@@ -444,4 +443,4 @@ def test_pretzel_sweep_matches_criterion(p, q):
     sym = "%d,%d,-%d" % (p[0], p[1], q)
     out = run(sym, node_budget=30000)
     assert out.status != "budget-exceeded"
-    assert out.certified == greene_pretzel_qa(p, q), sym
+    assert out.certified == pretzel_qa(p, q), sym
