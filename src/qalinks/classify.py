@@ -34,7 +34,7 @@ from .conway import (
     MissingParameterError, MontesinosSpec, montesinos_canonical,
     montesinos_det,
 )
-from .diagram import LinkDiagram, state_circles
+from .diagram import LinkDiagram, circle_labels
 from .homology import thinness
 from .invariants import LaurentPoly
 
@@ -70,17 +70,11 @@ def adequacy(d: LinkDiagram) -> AdequacyReport:
     4c+2; the B-smoothing joins (0,3) and (1,2), putting the strands
     on the circles of 4c and 4c+1.
     """
-    label_a = _circle_labels(d, 0)
-    label_b = _circle_labels(d, (1 << d.n) - 1)
+    label_a = circle_labels(d, 0)
+    label_b = circle_labels(d, (1 << d.n) - 1)
     plus = all(label_a[4 * c] != label_a[4 * c + 2] for c in range(d.n))
     minus = all(label_b[4 * c] != label_b[4 * c + 1] for c in range(d.n))
     return AdequacyReport(plus, minus)
-
-
-def _circle_labels(d, state):
-    """Plug -> index of its circle in the given state."""
-    return {p: i for i, circle in enumerate(state_circles(d, state))
-            for p in circle}
 
 
 # --- Jones sign/gap pattern ------------------------------------------
@@ -193,19 +187,19 @@ def eval_family_condition(cond: str, assignment: dict) -> bool:
 class ThicknessEvidence:
     """Best available reason to call a link thick or thin.
 
-    kind is one of "adequate-non-alternating", "non-alternating-torus",
-    "computed-width", "unknown".  The first two quote structural
-    theorems about the reduced odd theory; width is the mod-2 width,
-    a coarser measure, attached whenever a homology table was given.
-    The two can disagree legitimately (adequate non-alternating knots
-    with mod-2 width 2 exist), so kind never overrides width.
+    kind is one of "adequate-non-alternating", "computed-width",
+    "unknown".  The first quotes a structural theorem about the reduced
+    odd theory; width is the mod-2 width, a coarser measure, attached
+    whenever a homology table was given.  The two can disagree
+    legitimately (adequate non-alternating knots with mod-2 width 2
+    exist), so kind never overrides width.
     """
     kind: str
     width: int = None
 
     @property
     def thick(self):
-        if self.kind in ("adequate-non-alternating", "non-alternating-torus"):
+        if self.kind == "adequate-non-alternating":
             return True
         if self.kind == "computed-width":
             return self.width >= 3
@@ -213,17 +207,14 @@ class ThicknessEvidence:
 
 
 def thickness_evidence(d, report: AdequacyReport, alternating: bool,
-                       ranks=None, torus: bool = False) -> ThicknessEvidence:
+                       ranks=None) -> ThicknessEvidence:
     """Pick the strongest thickness witness available.
 
-    Structural evidence outranks a computed width; the torus flag is
-    caller knowledge (torus-ness is not decided from the diagram).
+    Structural evidence outranks a computed width.
     """
     width = thinness(ranks, 0).width if ranks else None
     if report.label == "adequate" and not alternating:
         return ThicknessEvidence("adequate-non-alternating", width)
-    if torus and not alternating:
-        return ThicknessEvidence("non-alternating-torus", width)
     if width is not None:
         return ThicknessEvidence("computed-width", width)
     return ThicknessEvidence("unknown")

@@ -123,62 +123,45 @@ def _one_crossing(sign):
     return Tangle(1, arcs)
 
 
-def _relabel(t: Tangle, crossing_offset, corner_map):
-    arcs = {}
+_TURN = (1, 2, 3, 0)  # one step counter clockwise: the mirror, the face step
+_FLIP = (0, 3, 2, 1)  # the NW-SE diagonal swaps slots 1 and 3
 
-    def m(p):
-        if isinstance(p, int):
-            return p + 4 * crossing_offset
-        return corner_map.get(p, p)
 
-    for a, b in t.arcs.items():
-        arcs[m(a)] = m(b)
-    return arcs
+def _plugs(ids, slots=range(4)):
+    """Plug table sending 4c + s to 4 * ids[c] + slots[s]."""
+    return [4 * e + s for e in ids for s in slots]
+
+
+def _renamed(arcs, m):
+    """The arcs with every plug p renamed m[p], in the same order."""
+    return {m[a]: m[b] for a, b in arcs.items()}
+
+
+def _tangle_arcs(t: Tangle, ids, slots=range(4), corners={}):
+    """t's arcs through _plugs(ids, slots), each corner k renamed
+    corners.get(k, k)."""
+    m = dict(zip(CORNERS, CORNERS), **corners)
+    m.update(enumerate(_plugs(ids, slots)))
+    return _renamed(t.arcs, m)
 
 
 def add(a: Tangle, b: Tangle) -> Tangle:
     """Horizontal sum: b glued to the right of a."""
-    left = dict(a.arcs)
-    right = _relabel(b, a.n, {"NW": "bNW", "SW": "bSW", "SE": "bSE", "NE": "bNE"})
-    merged = {**left, **right}
-    arcs, loops = fuse(merged, [("NE", "bNW"), ("SE", "bSW")])
-    out = {}
-    for p, q in arcs.items():
-        out[_unb(p)] = _unb(q)
-    return Tangle(a.n + b.n, out, a.loops + b.loops + loops)
-
-
-def _unb(p):
-    return {"bNE": "NE", "bSE": "SE"}.get(p, p)
+    left = _tangle_arcs(a, range(a.n), corners={"NE": "aNE", "SE": "aSE"})
+    right = _tangle_arcs(b, range(a.n, a.n + b.n),
+                         corners={"NW": "bNW", "SW": "bSW"})
+    arcs, loops = fuse({**left, **right}, [("aNE", "bNW"), ("aSE", "bSW")])
+    return Tangle(a.n + b.n, arcs, a.loops + b.loops + loops)
 
 
 def transpose(t: Tangle) -> Tangle:
     """Flip over the NW-SE diagonal, keeping over/under as drawn."""
-    swap = {"NE": "SW", "SW": "NE"}
-    arcs = {}
-
-    def m(p):
-        if isinstance(p, int):
-            s = p % 4
-            return p - s + (s if s % 2 == 0 else 4 - s)
-        return swap.get(p, p)
-
-    for a, b in t.arcs.items():
-        arcs[m(a)] = m(b)
+    arcs = _tangle_arcs(t, range(t.n), _FLIP, {"NE": "SW", "SW": "NE"})
     return Tangle(t.n, arcs, t.loops)
 
 
 def tangle_mirror(t: Tangle) -> Tangle:
-    arcs = {}
-
-    def m(p):
-        if isinstance(p, int):
-            return p - p % 4 + (p + 1) % 4
-        return p
-
-    for a, b in t.arcs.items():
-        arcs[m(a)] = m(b)
-    return Tangle(t.n, arcs, t.loops)
+    return Tangle(t.n, _tangle_arcs(t, range(t.n), _TURN), t.loops)
 
 
 @dataclass(slots=True)
@@ -446,9 +429,8 @@ def _build_poly(node: Poly) -> LinkDiagram:
         if v in flipped:
             t = transpose(t)
         offsets.append(total)
-        corner_map = {c: ("v", v, c) for c in CORNERS}
-        for a, b in _relabel(t, total, corner_map).items():
-            arcs[a] = b
+        arcs.update(_tangle_arcs(t, range(total, total + t.n),
+                                 corners={c: ("v", v, c) for c in CORNERS}))
         total += t.n
         loops += t.loops
     pairs = []
@@ -508,55 +490,45 @@ def _through(p):
     return p - p % 4 + (p + 2) % 4
 
 
+def _strands(d: LinkDiagram):
+    """Each component's walk from its smallest plug, as the list of
+    plugs where it enters crossings."""
+    adj, seen, out = d.adj, bytearray(4 * d.n), []
+    for p0 in range(4 * d.n):
+        if seen[p0]:
+            continue
+        entries, p = [], p0
+        while True:
+            q = adj[p]
+            entries.append(q)
+            seen[p] = seen[q] = 1
+            p = _through(q)
+            if p == p0:
+                break
+        out.append(entries)
+    return out
+
+
 def entry_plugs(d: LinkDiagram):
     """Plugs where the chosen traversal enters a crossing.
 
     Components are oriented in the order their smallest plug appears.
     """
-    entries = set()
-    seen = set()
-    for p0 in sorted(d.adj):
-        if p0 in seen:
-            continue
-        p = p0
-        while True:
-            q = d.adj[p]
-            entries.add(q)
-            seen.add(p)
-            seen.add(q)
-            p = _through(q)
-            if p == p0:
-                break
-    return entries
+    return set().union(*_strands(d))
 
 
 def components(d: LinkDiagram) -> int:
-    count = d.loops
-    seen = set()
-    for p0 in sorted(d.adj):
-        if p0 in seen:
-            continue
-        count += 1
-        p = p0
-        while True:
-            q = d.adj[p]
-            seen.add(p)
-            seen.add(q)
-            p = _through(q)
-            if p == p0:
-                break
-    return count
+    return d.loops + len(_strands(d))
 
 
 def crossing_signs(d: LinkDiagram):
     """Sign of every crossing under the traversal orientation."""
     entries = entry_plugs(d)
-    signs = []
-    for c in range(d.n):
-        under = next(s for s in (0, 2) if 4 * c + s in entries)
-        over = next(s for s in (1, 3) if 4 * c + s in entries)
-        signs.append(1 if (over - under) % 4 == 3 else -1)
-    return signs
+    # the understrand enters at slot 0 or 2, the overstrand at 1 or 3;
+    # the crossing is positive when the over entry is one slot clockwise
+    # of the under entry: 0 and 3, or 2 and 1
+    return [1 if (4 * c in entries) == (4 * c + 3 in entries) else -1
+            for c in range(d.n)]
 
 
 def writhe(d: LinkDiagram) -> int:
@@ -564,11 +536,8 @@ def writhe(d: LinkDiagram) -> int:
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
-    adj = {}
-    m = lambda p: p - p % 4 + (p + 1) % 4
-    for a, b in d.adj.items():
-        adj[m(a)] = m(b)
-    return LinkDiagram(d.n, adj, d.loops)
+    return LinkDiagram(d.n, _renamed(d.adj, _plugs(range(d.n), _TURN)),
+                       d.loops)
 
 
 def is_alternating(d: LinkDiagram) -> bool:
@@ -579,11 +548,11 @@ def state_circles(d: LinkDiagram, state: int):
     """Circles of the smoothing state given as a bitmask, free loops left out.
 
     Bit c of state picks the B smoothing at crossing c, a clear bit the
-    A smoothing.  Each circle is the tuple of plugs met walking from
-    its smallest plug along the arc, then across the smoothing to the
-    partner plug (slot s^1 under A, 3-s under B), and so on; circles
-    come in the order of their smallest plugs.  A circle that a state
-    change leaves untouched keeps the identical tuple.
+    A smoothing.  Each circle is the tuple of plugs state_circle meets
+    walking from its smallest plug along the arc, then across the
+    smoothing to the partner plug (slot s^1 under A, 3-s under B), and
+    so on; circles come in the order of their smallest plugs.  A circle
+    that a state change leaves untouched keeps the identical tuple.
 
     So the index of a circle is the number of circles whose smallest
     plug is smaller, and the homology module relies on what that gives
@@ -596,23 +565,36 @@ def state_circles(d: LinkDiagram, state: int):
     each circle from w on moves up one.  The circle through plug 0 is
     always circle 0.
     """
-    adj = d.adj
     seen = bytearray(4 * d.n)
     circles = []
     for p0 in range(4 * d.n):
-        if seen[p0]:
-            continue
-        circle = []
-        p = p0
-        while True:
-            q = adj[p]
-            seen[p] = seen[q] = 1
-            circle += (p, q)
-            p = q ^ 3 if state >> (q >> 2) & 1 else q ^ 1
-            if p == p0:
-                break
-        circles.append(tuple(circle))
+        if not seen[p0]:
+            circle = state_circle(d, state, p0)
+            for p in circle:
+                seen[p] = 1
+            circles.append(tuple(circle))
     return circles
+
+
+def state_circle(d: LinkDiagram, state: int, p0: int):
+    """The plugs of the state's circle through p0, walked from p0 as
+    state_circles walks them."""
+    adj, circle, p = d.adj, [], p0
+    while True:
+        q = adj[p]
+        circle += (p, q)
+        p = q ^ 3 if state >> (q >> 2) & 1 else q ^ 1
+        if p == p0:
+            return circle
+
+
+def circle_labels(d: LinkDiagram, state: int):
+    """Plug -> index of its circle in state_circles(d, state), a list."""
+    lab = [0] * (4 * d.n)
+    for i, circle in enumerate(state_circles(d, state)):
+        for p in circle:
+            lab[p] = i
+    return lab
 
 
 def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
@@ -628,12 +610,11 @@ def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
 
 
 def _drop_crossings(d: LinkDiagram, dead) -> LinkDiagram:
-    order = [c for c in range(d.n) if c not in dead]
-    newid = {c: i for i, c in enumerate(order)}
-    adj = {}
-    for a, b in d.adj.items():
-        adj[4 * newid[a // 4] + a % 4] = 4 * newid[b // 4] + b % 4
-    return LinkDiagram(len(order), adj, d.loops)
+    ids, k = [], 0  # c -> its new id; a dead crossing's plugs have no arc
+    for c in range(d.n):
+        ids.append(k)
+        k += c not in dead
+    return LinkDiagram(k, _renamed(d.adj, _plugs(ids)), d.loops)
 
 
 def _find_kink(d: LinkDiagram):
@@ -711,7 +692,6 @@ def r3_moves(d: LinkDiagram):
     straight back into the triangle, are skipped.
     """
     out = []
-    opp = lambda x: x - x % 4 + (x + 2) % 4
     for face in faces(d):
         if len(face) != 3:
             continue
@@ -729,9 +709,9 @@ def r3_moves(d: LinkDiagram):
             sa_tri, sb_tri = p, q
             ua_tri, uc_tri = prev[1], prev[0]
             vb_tri, vc_tri = nxt[0], nxt[1]
-            sa_ext, sb_ext = opp(sa_tri), opp(sb_tri)
-            ua_ext, uc_ext = opp(ua_tri), opp(uc_tri)
-            vb_ext, vc_ext = opp(vb_tri), opp(vc_tri)
+            sa_ext, sb_ext = _through(sa_tri), _through(sb_tri)
+            ua_ext, uc_ext = _through(ua_tri), _through(uc_tri)
+            vb_ext, vc_ext = _through(vb_tri), _through(vc_tri)
             tri = {sa_tri, sb_tri, ua_tri, uc_tri, vb_tri, vc_tri,
                    sa_ext, sb_ext, ua_ext, uc_ext, vb_ext, vc_ext}
             xsa, xsb = d.adj[sa_ext], d.adj[sb_ext]
@@ -794,12 +774,8 @@ def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
             "entries %r do not extend a crossing of sign %+d"
             % (list(spec.entries), sign))
     t = _expr_tangle(Seq(spec.entries))
-    shift = 4 * d.n
     arcs = dict(d.adj)
-    for a, b in t.arcs.items():
-        ra = a if isinstance(a, str) else a + shift
-        rb = b if isinstance(b, str) else b + shift
-        arcs[ra] = rb
+    arcs.update(_tangle_arcs(t, range(d.n, d.n + t.n)))
     frame = _FRAME[sign]
     arcs, loops = fuse(arcs, [(corner, 4 * c + s)
                               for corner, s in frame.items()])
@@ -816,20 +792,19 @@ def faces(d: LinkDiagram):
     dart of the face turns left, leaving from the plug one step counter
     clockwise of q.
     """
-    adj = d.adj
+    adj, turn = d.adj, _plugs(range(d.n), _TURN)
+    seen = bytearray(4 * d.n)  # a dart is fixed by the plug it leaves from
     out = []
-    # a dart is fixed by the plug it leaves from
-    seen = set()
-    for start in sorted(adj):
-        if start in seen:
+    for start in range(4 * d.n):
+        if seen[start]:
             continue
         face = []
         p = start
-        while p not in seen:
-            seen.add(p)
+        while not seen[p]:
+            seen[p] = 1
             q = adj[p]
             face.append((p, q))
-            p = q - q % 4 + (q + 1) % 4
+            p = turn[q]
         out.append(tuple(face))
     return out
 

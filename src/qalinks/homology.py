@@ -32,14 +32,16 @@ does.  A merge (a < b) gives the merged circle index a and moves every
 circle above b down one.  A split (a = b) leaves index a to the part
 through a's smallest plug and inserts the other part at index w, one
 past the circles whose smallest plugs come before its own, moving every
-circle from w up one.  Only state 0 is walked by diagram.state_circles.
-Every other state is labelled from a parent, the state with one of its
-B smoothings back at A, by this rule: a merge is one byte translate, a
-split one walk of the new circle through plug 4c, so a parent that
-merges is preferred.  The same rule maps each edge: a labeling's image
-is a few shifts and masks of its bits, fixed by the source state's
-circle count and the touched indices alone, so the images of each such
-key are tabulated once per call and read by every edge with that key.
+circle from w up one.  Only state 0 is walked whole, by
+diagram.circle_labels.  Every other state is labelled from a parent,
+the state with one of its B smoothings back at A, by this rule: a merge
+is one byte translate, a split one walk of the new circle through plug
+4c by diagram.state_circle, the diagram module's one state-circle walk,
+so a parent that merges is preferred.  The same rule maps each edge: a
+labeling's image is a few shifts and masks of its bits, fixed by the
+source state's circle count and the touched indices alone, so the
+images of each such key are tabulated once per call and read by every
+edge with that key.
 
 The complex is built one level at a time.  The differential preserves
 j and raises the state weight r by one, so the states are grouped by
@@ -62,7 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qalinks.diagram import LinkDiagram, crossing_signs, state_circles
+from qalinks.diagram import (
+    LinkDiagram, circle_labels, crossing_signs, state_circle,
+)
 from qalinks.invariants import SizeLimitError
 
 CROSSING_CAP = 12
@@ -79,16 +83,12 @@ def _n_minus(d: LinkDiagram) -> int:
 
 def _labels(d: LinkDiagram):
     """Per state mask: the plug -> circle label bytes, and the circle
-    count with the free loops.  State 0 is walked by state_circles, every
-    other state derived from a parent by the index rule; for a split the
-    part without a's smallest plug moves to w."""
-    n, adj = d.n, d.adj
-    here = bytearray(4 * n)
-    circles = state_circles(d, 0)
-    for i, circle in enumerate(circles):
-        for p in circle:
-            here[p] = i
-    lab, ks = [bytes(here)], [len(circles) + d.loops]
+    count with the free loops.  State 0 is labelled by
+    diagram.circle_labels, every other state derived from a parent by
+    the index rule; for a split, diagram.state_circle walks the new
+    circle, the part without a's smallest plug, which moves to w."""
+    n, first = d.n, circle_labels(d, 0)
+    lab, ks = [bytes(first)], [max(first, default=-1) + 1 + d.loops]
     ident, tables = bytes(range(256)), {}
     for mask in range(1, 1 << n):
         low, rest = mask & -mask, mask
@@ -115,13 +115,7 @@ def _labels(d: LinkDiagram):
             continue
         s = ls.index(a)
         for p0 in 4 * c, 4 * c + 1:  # split: the new circle through p0
-            part, p = [], p0
-            while True:
-                q = adj[p]
-                part += (p, q)
-                p = q ^ 3 if mask >> (q >> 2) & 1 else q ^ 1
-                if p == p0:
-                    break
+            part = state_circle(d, mask, p0)
             if s not in part:
                 break
         w = max(ls[:min(part)]) + 1

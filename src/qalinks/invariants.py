@@ -316,17 +316,17 @@ def _goeritz(d, color):
     this color sit at corners 0 and 2, -1 at corners 1 and 3.  rows[c]
     holds the rows of those two faces, equal when they are one face.
 
-    Faces come in the order diag.faces lists them, each walked along
-    the plugs it leaves from, and face 0 has color 0.  Colors follow
-    corner alternation: the faces leaving the four slots of a crossing
+    The faces are those of diag.faces, the diagram module's one face
+    walk, in its order, and face 0 has color 0.  Colors follow corner
+    alternation: the faces leaving the four slots of a crossing
     alternate, and the faces either side of an arc differ, so the face
     leaving plug 4c + s has color flip[c] ^ (s & 1) for one bit flip[c]
-    per crossing, and each face takes its color as its walk starts.
+    per crossing, and each face takes the color of its first dart.
     Raises DisconnectedDiagramError on a split diagram.
     """
     if not d.n or d.loops:
         raise diag.DisconnectedDiagramError("diagram is split")
-    n4, adj = 4 * d.n, d.adj
+    adj = d.adj
     flip = [-1] * d.n
     flip[0] = 0  # face 0 leaves plug 0
     stack = [0]
@@ -337,33 +337,27 @@ def _goeritz(d, color):
             if flip[q >> 2] < 0:
                 flip[q >> 2] = (flip[c] ^ p ^ q ^ 1) & 1
                 stack.append(q >> 2)
-    face = [-1] * n4  # plug -> the face whose walk leaves from it
-    row = []  # face -> its matrix row, -1 for the other color
-    rows_used = 0
-    for start in range(n4):
-        if face[start] < 0:
-            if flip[start >> 2] ^ start & 1 == color:
-                row.append(rows_used)
-                rows_used += 1
-            else:
-                row.append(-1)
-            k, p = len(row) - 1, start
-            while face[p] < 0:
-                face[p] = k
-                q = adj[p]
-                p = q - 3 if q & 3 == 3 else q + 1
+    fs = diag.faces(d)
     # a connected diagram with n crossings has n+2 faces by Euler
-    if len(row) != d.n + 2:
+    if len(fs) != d.n + 2:
         raise diag.DisconnectedDiagramError("diagram is split")
+    # plug -> the row of the face leaving it, -1 for the other color
+    row, rows_used = [-1] * (4 * d.n), 0
+    for darts in fs:
+        start = darts[0][0]
+        if flip[start >> 2] ^ start & 1 == color:
+            for p, _ in darts:
+                row[p] = rows_used
+            rows_used += 1
     g = [[0] * rows_used for _ in range(rows_used)]
     etas, rows = [], []
     for c in range(d.n):
         # corner s is the face leaving slot s + 1; corners 0 and 2 have
         # color flip[c] ^ 1
         if flip[c] != color:
-            eta, i, j = 1, row[face[4 * c + 1]], row[face[4 * c + 3]]
+            eta, i, j = 1, row[4 * c + 1], row[4 * c + 3]
         else:
-            eta, i, j = -1, row[face[4 * c + 2]], row[face[4 * c]]
+            eta, i, j = -1, row[4 * c + 2], row[4 * c]
         etas.append(eta)
         rows.append((i, j))
         if i != j:

@@ -23,13 +23,19 @@ r3_moves_every_arc slides every same-level arc of every triangle, so
 each move comes once from its top strand and once from its bottom
 strand; the package walks plugs and returns one slide per triangle.
 
+joined_plugs joins plugs by union-find over the arcs and given slot
+pairs at every crossing, with the parity of each plug's distance from
+the smallest plug of its class; union_find_circles and
+union_find_strands use it for the state circles and the components,
+which the package finds by walking them.
+
 cube_bracket is the Kauffman bracket as the plain 2^n state sum over
-the circle counts of the public state_circles; the package scans the
+the circle counts of union_find_circles; the package scans the
 crossings one at a time instead.
 
 cube_khovanov_f2 builds the whole unreduced 2^n cube of resolutions
-over F2, both labels on every circle, from the public state_circles and
-crossing_signs alone; the package builds only the marked-circle
+over F2, both labels on every circle, from union_find_circles and the
+public crossing_signs alone; the package builds only the marked-circle
 subcomplex and doubles its ranks.
 
 checkerboard colors the faces of the public faces walk by a search over
@@ -49,7 +55,7 @@ from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
 from qalinks.diagram import (
     DisconnectedDiagramError, LinkDiagram, crossing_signs, faces,
-    graph_components, state_circles,
+    graph_components,
 )
 from qalinks.invariants import LaurentPoly
 
@@ -231,13 +237,60 @@ def r3_moves_every_arc(d):
     return out
 
 
+def joined_plugs(d, slot_pairs):
+    """Union-find over the arcs of d and the plug pairs (4c + s, 4c + t)
+    for (s, t) in slot_pairs[c] at every crossing c.
+
+    Returns (classes, odd): the classes as sorted plug lists in order of
+    their smallest plugs, and the set of plugs an odd number of joins
+    away from the smallest plug of their class.  Arcs and slot pairs
+    alternate around every class, so the parity is well defined."""
+    parent, flip = list(range(4 * d.n)), [0] * (4 * d.n)
+
+    def find(p):  # root of p; flip[p] becomes p's parity to it
+        q = parent[p]
+        if q != p:
+            parent[p] = find(q)
+            flip[p] ^= flip[q]
+        return parent[p]
+
+    joins = list(d.adj.items())
+    for c, pairs in enumerate(slot_pairs):
+        joins += [(4 * c + s, 4 * c + t) for s, t in pairs]
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            flip[ra] = flip[a] ^ flip[b] ^ 1
+    classes = {}
+    for p in range(4 * d.n):
+        classes.setdefault(find(p), []).append(p)
+    odd = {p for members in classes.values() for p in members
+           if flip[p] != flip[members[0]]}
+    return sorted(classes.values()), odd
+
+
+def union_find_circles(d, state):
+    """joined_plugs of the state: bit c set joins slots (0,3) and (1,2)
+    of crossing c (B), clear joins (0,1) and (2,3) (A)."""
+    return joined_plugs(d, [((0, 3), (1, 2)) if state >> c & 1
+                            else ((0, 1), (2, 3)) for c in range(d.n)])
+
+
+def union_find_strands(d):
+    """joined_plugs with each crossing's strands passing straight
+    through, slots (0,2) and (1,3): one class per component that meets
+    a crossing."""
+    return joined_plugs(d, [((0, 2), (1, 3))] * d.n)
+
+
 def cube_bracket(d):
     """Kauffman bracket, 1 on a single circle: every state weighs
     A^(#A - #B) times delta^(circles - 1), delta = -A^2 - A^-2."""
     counts = {}
     for state in range(1 << d.n):
         key = (d.n - 2 * state.bit_count(),
-               len(state_circles(d, state)) + d.loops)
+               len(union_find_circles(d, state)[0]) + d.loops)
         counts[key] = counts.get(key, 0) + 1
     delta = LaurentPoly({2: -1, -2: -1})
     out = LaurentPoly()
@@ -256,7 +309,7 @@ def _cube(d):
     # the circle count with the free loops as the last d.loops indices
     lab, first, ks = [], [], []
     for mask in range(1 << d.n):
-        circles = state_circles(d, mask)
+        circles, _ = union_find_circles(d, mask)
         here = [0] * (4 * d.n)
         for i, circle in enumerate(circles):
             for p in circle:

@@ -281,12 +281,6 @@ class TestThicknessEvidence:
         assert ev == C.ThicknessEvidence("computed-width", 3)
         assert ev.thick is True
 
-    def test_torus_flag(self):
-        d = D.build("3,3,2-")
-        ev = C.thickness_evidence(d, C.adequacy(d), D.is_alternating(d),
-                                  torus=True)
-        assert ev.kind == "non-alternating-torus" and ev.thick
-
     def test_unknown(self):
         d = D.build("2 2")
         ev = C.thickness_evidence(d, C.adequacy(d), D.is_alternating(d))

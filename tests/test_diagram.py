@@ -355,8 +355,22 @@ class TestCorpus:
 
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_mirror_involution(self, sym):
+        # mirror turns every slot one step, so twice is the half turn
+        # p -> p ^ 2 of every crossing, plug for plug and in arc order
         d = build(sym)
-        assert D.canonical_code(D.mirror(D.mirror(d))) == D.canonical_code(d)
+        twice = D.mirror(D.mirror(d))
+        assert list(twice.adj.items()) == [(p ^ 2, q ^ 2)
+                                           for p, q in d.adj.items()]
+        assert D.mirror(D.mirror(twice)).adj == d.adj
+        assert D.canonical_code(twice) == D.canonical_code(d)
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_transpose_involution(self, sym):
+        node = conway.parse(sym)
+        for part in node.slots if isinstance(node, conway.Poly) else [node]:
+            t = D._expr_tangle(part)
+            assert list(D.transpose(D.transpose(t)).arcs.items()) == \
+                list(t.arcs.items())
 
     def test_mirror_matches_negated_symbol(self):
         for sym in ("3", "2 2", "2 1 1", "5", "3,3,-3"):

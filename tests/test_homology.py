@@ -18,7 +18,10 @@ from qalinks import diagram as D
 from qalinks import homology as H
 from qalinks.invariants import LaurentPoly, SizeLimitError, jones, signature
 
-from oracles import cube_d_squared_zero, cube_khovanov_f2
+from oracles import (
+    cube_d_squared_zero, cube_khovanov_f2, union_find_circles,
+    union_find_strands,
+)
 from test_diagram import mixed_closures
 
 
@@ -298,6 +301,43 @@ class TestStateLabels:
             m, s = self.check(d)
             merges, splits = merges + m, splits + s
         assert merges and splits
+
+
+class TestWalksAgainstUnionFind:
+    """The package's strand and state-circle walks find the classes
+    that union-find over the arcs and the slot pairs finds.  Each
+    circle is the tuple of its plugs from its smallest one, circles in
+    order of smallest plugs, and a walk takes each arc from its first
+    plug, so the odd positions of a tuple are the plugs at odd
+    distance.  A traversal enters a crossing at the plugs an odd
+    number of steps from the smallest plug of its component."""
+
+    CLOSURES = TestEdgeIndexRule.CLOSURES
+
+    @staticmethod
+    def check(d, states):
+        classes, odd = union_find_strands(d)
+        assert D.components(d) == len(classes) + d.loops
+        assert D.entry_plugs(d) == odd
+        for state in states:
+            classes, odd = union_find_circles(d, state)
+            circles = D.state_circles(d, state)
+            assert [sorted(c) for c in circles] == classes
+            assert [c[0] for c in circles] == [c[0] for c in classes]
+            assert {p for c in circles for p in c[1::2]} == odd
+
+    @pytest.mark.parametrize(
+        "sym", [s for s in BATTERY if D.build(s).n <= 10])
+    def test_battery(self, sym):
+        d = D.build(sym)
+        self.check(d, range(1 << d.n))
+
+    def test_closures(self):
+        assert any(D.components(d) > 1 and not d.loops for d in self.CLOSURES)
+        assert any(d.loops for d in self.CLOSURES)
+        for d in self.CLOSURES:
+            every = (1 << d.n) - 1
+            self.check(d, range(every + 1) if d.n <= 6 else (0, every))
 
 
 class TestKunneth:
