@@ -228,42 +228,19 @@ def _rotations(coords, edges):
     return rot
 
 
-def _map_faces(rot):
-    """Faces of the map given by a rotation system, as dart cycles."""
-    darts = [(u, v) for u in rot for v in rot[u]]
-    nxt = {}
-    for u, v in darts:
-        nbrs = rot[v]
-        w = nbrs[(nbrs.index(u) - 1) % len(nbrs)]
-        nxt[(u, v)] = (v, w)
-    faces = []
-    seen = set()
-    for d in darts:
-        if d in seen:
-            continue
-        face = []
-        while d not in seen:
-            seen.add(d)
-            face.append(d)
-            d = nxt[d]
-        faces.append(face)
-    return faces
-
-
 def _medial_frames(coords, edges):
     """Vertex frames of the medial map of a plane graph.
 
     Returns a list over medial vertices (one per edge, in the order
     given) of 4-tuples frame[k] = (other_vertex, other_dart) so that
     dart k of vertex i attaches to dart frame[i][k][1] of vertex
-    frame[i][k][0]. Dart parities are chosen so that every medial edge
-    joins an even dart to an odd one.
+    frame[i][k][0]. Medial edges are the corners (u, a, b) of the
+    graph, where edge b follows edge a counter clockwise around vertex
+    u. A corner is dart 1 or 3 of medial vertex a and dart 0 or 2 of
+    medial vertex b, so every medial edge joins an odd dart to an even
+    one, which is what makes the filled polyhedra alternating.
     """
     rot = _rotations(coords, edges)
-    faces = _map_faces(rot)
-    v, e, f = len(coords), len(edges), len(faces)
-    if v - e + f != 2:
-        raise ValueError("base graph rotation system is not planar")
     index = {}
     for i, (a, b) in enumerate(edges):
         index[(a, b)] = i
@@ -275,66 +252,21 @@ def _medial_frames(coords, edges):
     # medial rotation: for edge (u, v) the four neighbors counter
     # clockwise are prev_v, next_u, prev_u, next_v, where next/prev are
     # the rotation neighbors of the edge at each endpoint
-    rotation = []
+    ends = {}
     for i, (u, v) in enumerate(edges):
         nu, pu = around(u, v)
         nv, pv = around(v, u)
-        rotation.append([
-            ("corner", v, index[(v, pv)], i),
-            ("corner", u, index[(u, v)], index[(u, nu)]),
-            ("corner", u, index[(u, pu)], index[(u, v)]),
-            ("corner", v, index[(v, u)], index[(v, nv)]),
-        ])
-    # pair up corner labels: the corner (vertex, edge a, edge b) occurs
-    # at medial vertices a and b exactly once each
-    where = {}
-    for i, nbrs in enumerate(rotation):
-        for k, corner in enumerate(nbrs):
-            where.setdefault(_corner_key(corner), []).append((i, k))
-    for key, ends in where.items():
-        if len(ends) != 2:
-            raise ValueError("bad corner %r" % (key,))
-    # parity 2-coloring: flipping par[i] exchanges under and over darts
-    par = [None] * len(edges)
-    par[0] = 0
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for k, corner in enumerate(rotation[i]):
-            (j, kj), = [x for x in where[_corner_key(corner)] if x != (i, k)]
-            need = (k + kj + 1 + par[i]) % 2
-            if par[j] is None:
-                par[j] = need
-                queue.append(j)
-            elif par[j] != need:
-                raise ValueError("medial map is not checkerboard colorable")
-    frames = []
-    for i, nbrs in enumerate(rotation):
-        frame = []
-        for k in range(4):
-            corner = nbrs[(k + par[i]) % 4]
-            (j, kj), = [x for x in where[_corner_key(corner)]
-                        if x != (i, (k + par[i]) % 4)]
-            frame.append((j, (kj - par[j]) % 4))
-        frames.append(tuple(frame))
-    return frames
-
-
-def _corner_key(corner):
-    _, u, a, b = corner
-    return (u, a, b)
-
-
-def _wheel(n):
-    coords = {0: (0.0, 0.0)}
-    edges = []
-    for i in range(1, n + 1):
-        a = 2 * math.pi * i / n
-        coords[i] = (math.cos(a), math.sin(a))
-    for i in range(1, n + 1):
-        edges.append((i, i % n + 1))
-        edges.append((i, 0))
-    return coords, edges
+        for k, corner in enumerate([(v, index[(v, pv)], i),
+                                    (u, i, index[(u, nu)]),
+                                    (u, index[(u, pu)], i),
+                                    (v, i, index[(v, nv)])]):
+            ends.setdefault(corner, []).append((i, k))
+    # each corner occurs at its two medial vertices once each
+    frames = [[None] * 4 for _ in edges]
+    for (i, k), (j, kj) in ends.values():
+        frames[i][k] = (j, kj)
+        frames[j][kj] = (i, k)
+    return [tuple(frame) for frame in frames]
 
 
 def _prism(diagonal=False):
@@ -378,75 +310,52 @@ def _k4():
 
 
 def _wheel_zigzag(n):
-    coords, _ = _wheel(n)
+    coords = {0: (0.0, 0.0)}
     edges = []
     for i in range(1, n + 1):
+        a = 2 * math.pi * i / n
+        coords[i] = (math.cos(a), math.sin(a))
         edges.append((i, i % n + 1))
         edges.append((i % n + 1, 0))
     return coords, edges
 
 
-def _basis_frames():
-    out = {}
-    out["6*"] = _medial_frames(*_k4())
-    out["8*"] = _medial_frames(*_wheel_zigzag(4))
-    out["9*"] = _medial_frames(*_prism())
-    out["10*"] = _medial_frames(*_wheel_zigzag(5))
-    out["10**"] = _medial_frames(*_prism(diagonal=True))
-    out["10***"] = _medial_frames(*_octahedron_minus())
-    return out
+BASIS_FRAMES = {
+    "6*": _medial_frames(*_k4()),
+    "8*": _medial_frames(*_wheel_zigzag(4)),
+    "9*": _medial_frames(*_prism()),
+    "10*": _medial_frames(*_wheel_zigzag(5)),
+    "10**": _medial_frames(*_prism(diagonal=True)),
+    "10***": _medial_frames(*_octahedron_minus()),
+}
 
-
-BASIS_FRAMES = _basis_frames()
 
 # Substitution convention.  A one-crossing tangle is fixed by the diagonal
 # transpose, so the all-one filling of each basic polyhedron cannot see the
 # orientation in which slot tangles are substituted; larger tangles can.
-# At the vertices listed here the slot tangle is transposed before insertion.
-# For the octahedral basis the pattern (odd-numbered vertices) was pinned
-# against links whose other minimal diagrams are pretzel or product forms
-# with independently checkable invariants; the remaining bases reuse the
-# same alternating pattern over the construction-order numbering.
-BASIS_TRANSPOSED = {
-    "6*": frozenset([1, 3, 5]),
-    "8*": frozenset([1, 3, 5, 7]),
-    "9*": frozenset([1, 3, 5, 7]),
-    "10*": frozenset([1, 3, 5, 7, 9]),
-    "10**": frozenset([1, 3, 5, 7, 9]),
-    "10***": frozenset([1, 3, 5, 7, 9]),
-}
-
+# The slot tangle of every odd-numbered vertex is transposed before
+# insertion.  For the octahedral basis this rule was pinned against links
+# whose other minimal diagrams are pretzel or product forms with
+# independently checkable invariants; the remaining bases reuse it over the
+# construction-order numbering.
 
 def _build_poly(node: Poly) -> LinkDiagram:
-    frames = BASIS_FRAMES[node.basis]
-    flipped = BASIS_TRANSPOSED[node.basis]
     arcs = {}
-    offsets = []
-    total = 0
-    loops = 0
+    total = loops = 0
     for v, slot in enumerate(node.slots):
         t = _expr_tangle(slot)
-        if v in flipped:
+        if v % 2:
             t = transpose(t)
-        offsets.append(total)
         arcs.update(_tangle_arcs(t, range(total, total + t.n),
                                  corners={c: ("v", v, c) for c in CORNERS}))
         total += t.n
         loops += t.loops
-    pairs = []
-    done = set()
-    for v, frame in enumerate(frames):
-        for k in range(4):
-            w, j = frame[k]
-            key = frozenset([(v, k), (w, j)])
-            if key in done:
-                continue
-            done.add(key)
-            # tangle corners run clockwise against the counterclockwise
-            # frame directions; this is the embedding chirality that makes
-            # the octahedral knot anchors come out unmirrored
-            pairs.append((("v", v, CORNERS[-k % 4]),
-                          ("v", w, CORNERS[-j % 4])))
+    # tangle corners run clockwise against the counterclockwise frame
+    # directions; this is the embedding chirality that makes the
+    # octahedral knot anchors come out unmirrored
+    pairs = [(("v", v, CORNERS[-k % 4]), ("v", w, CORNERS[-j % 4]))
+             for v, frame in enumerate(BASIS_FRAMES[node.basis])
+             for k, (w, j) in enumerate(frame) if (v, k) < (w, j)]
     arcs, extra = fuse(arcs, pairs)
     return LinkDiagram(total, arcs, loops + extra)
 
@@ -648,13 +557,11 @@ def reduce_once(d: LinkDiagram):
     """One Reidemeister 1 or 2 reduction, or None."""
     kink = _find_kink(d)
     if kink:
+        # the smoothing that joins the kink's two ends splits it off
+        # as a loop, which R1 removes
         a, b = kink
-        c = a // 4
-        arcs = dict(d.adj)
-        del arcs[a], arcs[b]
-        other = [4 * c + s for s in range(4) if 4 * c + s not in (a, b)]
-        arcs, loops = fuse(arcs, [tuple(other)])
-        return _drop_crossings(LinkDiagram(d.n, arcs, d.loops + loops), {c})
+        s = smooth(d, a // 4, "A" if (a + b) % 4 == 1 else "B")
+        return LinkDiagram(s.n, s.adj, s.loops - 1)
     bigon = _find_bigon(d)
     if bigon:
         (a, b), (a2, b2) = bigon

@@ -1,5 +1,6 @@
 """Diagram builder tests: structure, moves, codes, polyhedra."""
 
+import hashlib
 import random
 
 import pytest
@@ -419,6 +420,26 @@ class TestPolyhedra:
             for v, frame in enumerate(frames):
                 for k, (w, j) in enumerate(frame):
                     assert (k + j) % 2 == 1
+
+    # sha256 of the newline-joined canonical codes of basis + "." * v +
+    # "2 1" over every vertex v.  A 2 1 slot sees the orientation in
+    # which it is substituted, so transposing the slot tangle of any
+    # one vertex the other way changes the digest of its basis.
+    SUBSTITUTION_PINS = {
+        "6*": "1d23f07f045d9dcf5ef1e63b0e14df68936468a1b1a5afd599fc8e885b20852b",
+        "8*": "2241b1c620f7a2e878afa4455d08568ced01a9bd15d27a71942bf63e947a9910",
+        "9*": "b4d4737c2fd14f3f8f55fd7a645165cf553c6f1beb8be898681639dcf8ed6a40",
+        "10*": "b6ec74bdb1469f986aa36bec3650818a14efa284e4087cd0ca35418084570386",
+        "10**": "33926272175c09eb3ba0a44ff410ded27d0b815cc8f0183a33008f4d4afc577a",
+        "10***": "539ca0618b36dfaad7db6bb11f822e86d13d80c2ed031ab00471335607988f89",
+    }
+
+    @pytest.mark.parametrize("basis", sorted(SUBSTITUTION_PINS))
+    def test_substitution_convention_is_pinned(self, basis):
+        codes = [D.canonical_code(build(basis + "." * v + "2 1"))
+                 for v in range(conway.BASIS_VERTICES[basis])]
+        digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+        assert digest == self.SUBSTITUTION_PINS[basis]
 
 
 @st.composite
