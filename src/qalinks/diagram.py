@@ -514,7 +514,7 @@ def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
         pairs = [(4 * c, 4 * c + 3), (4 * c + 1, 4 * c + 2)]
     else:
         raise ValueError(kind)
-    arcs, loops = fuse(dict(d.adj), pairs)
+    arcs, loops = fuse(d.adj, pairs)
     return _drop_crossings(LinkDiagram(d.n, arcs, d.loops + loops), {c})
 
 
@@ -584,7 +584,7 @@ def simplify(d: LinkDiagram) -> LinkDiagram:
         d = nxt
 
 
-def r3_moves(d: LinkDiagram):
+def r3_moves(d: LinkDiagram, triangles=None):
     """All diagrams one Reidemeister 3 slide away, one per triangle.
 
     A triangular face admits a slide along a bounding arc that runs at
@@ -597,6 +597,11 @@ def r3_moves(d: LinkDiagram):
     crossings it meets in the opposite order afterwards.  Triangles
     that touch a crossing twice, or whose surrounding arcs loop
     straight back into the triangle, are skipped.
+
+    A list passed as triangles receives one pair per move: the plugs
+    that the slid triangle's darts leave from in d, and a plug of the
+    move whose dart runs along the triangle left behind.  Sliding that
+    triangle is the slide back to d.
     """
     out = []
     for face in faces(d):
@@ -634,6 +639,9 @@ def r3_moves(d: LinkDiagram):
                          (xvb, vc_tri), (vc_ext, vb_ext), (vb_tri, xvc)):
                 _pair(adj, a, b)
             out.append(LinkDiagram(d.n, adj, d.loops))
+            if triangles is not None:
+                # the new triangle's darts leave sa_ext, vb_ext, uc_ext
+                triangles.append(([p for p, _ in face], sa_ext))
             break
     return out
 
@@ -716,7 +724,7 @@ def faces(d: LinkDiagram):
     return out
 
 
-def canonical_code(d: LinkDiagram) -> str:
+def canonical_code(d: LinkDiagram, labels=None) -> str:
     """Canonical text form, stable under crossing renumbering and the
     180 degree turn of single crossings. Mirror images get different
     codes. The code lists, for each crossing in canonical order, the
@@ -738,13 +746,22 @@ def canonical_code(d: LinkDiagram) -> str:
     link, its reverse and a link with some components reversed share
     one code. Nothing that depends on orientation (signature, Jones,
     Khovanov gradings, crossing signs) may be cached under it; the
-    determinant may."""
+    determinant may.
+
+    A dict passed as labels receives the winning starts' map: crossing
+    c -> 4 * id + offset, where id is c's row in the code and offset
+    the slot its row begins at.  Plug 4c + s of d is then plug
+    labels[c] ^ s of from_code(code), and relabel(d, labels) builds
+    that diagram without the text round trip."""
     if d.n == 0:
         return "|%d" % d.loops
-    codes, rest = [], range(d.n)
+    codes, rest, base = [], range(d.n), 0
     while rest:
         code, piece = _piece_code(d.adj, rest)
         codes.append(code)
+        if labels is not None:
+            labels.update((c, x + base) for c, x in piece.items())
+            base += 4 * len(code)
         rest = [c for c in rest if c not in piece]
     # a plug pair (crossing id, slot) is held as 4 * id + slot, which
     # keeps the order of the pairs
@@ -754,6 +771,14 @@ def canonical_code(d: LinkDiagram) -> str:
             for a, b, c, e in code)
         for code in codes)
     return body + "|%d" % d.loops
+
+
+def relabel(d: LinkDiagram, labels) -> LinkDiagram:
+    """d with plug 4c + s renamed labels[c] ^ s and the plugs listed in
+    order; with the labels of canonical_code(d) this is
+    from_code(canonical_code(d)), item for item."""
+    m = [labels[p >> 2] ^ (p & 3) for p in range(4 * d.n)]
+    return LinkDiagram(d.n, dict(sorted(_renamed(d.adj, m).items())), d.loops)
 
 
 def from_code(code: str) -> LinkDiagram:

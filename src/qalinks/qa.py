@@ -28,6 +28,15 @@ first, trying each member's crossings; the chain of codes from the
 original diagram to the member that finally worked is kept on the
 certificate, so verification can replay every hop.
 
+The search works on each member's canonical representative, the
+diagram from_code would decode from its code.  canonical_code fills
+in the crossing map of the code it writes, and the representative is
+relabelled from the hop's own diagram by that map when the member is
+taken off the queue, so no code is decoded.  A member reached by a
+triangle slide leaves out the slide back through the triangle it was
+slid through: that slide's code is the previous member's, already
+seen, so it is never coded.
+
 Negative outcomes are statements about the orbit the search explored,
 not about the underlying link.
 """
@@ -37,7 +46,7 @@ from dataclasses import dataclass, replace
 
 from .diagram import (
     LinkDiagram, canonical_code, crossing_signs, from_code, r3_moves,
-    reduce_once, simplify, smooth,
+    reduce_once, relabel, simplify, smooth,
 )
 from .invariants import determinant, smoothing_determinants
 
@@ -92,15 +101,26 @@ def _smoothing_kinds(sign):
     return ("A", "B") if sign > 0 else ("B", "A")
 
 
-def _hops(d):
-    """Codes one orbit step from d: its triangle slides, then its
-    reduction when it has one.  simplify carries on from the reduction
-    already found instead of finding it again."""
-    hops = [canonical_code(m) for m in r3_moves(d)]
+def _hops(d, back=None):
+    """One orbit step from d: its triangle slides, then its reduction
+    when it has one, each as (code, diagram, labels, back) where
+    relabel(diagram, labels) is the hop's canonical representative and
+    back is the plug of that representative whose triangle slides back
+    to d (None after a reduction).  The slide through the triangle of
+    d with a dart leaving plug back is left out and never coded: it
+    returns to the member d was slid from.  simplify carries on from
+    the reduction already found instead of finding it again."""
+    triangles = []
+    moves = r3_moves(d, triangles)
+    for m, (tri, undo) in zip(moves, triangles):
+        if back not in tri:
+            labels = {}
+            code = canonical_code(m, labels)
+            yield code, m, labels, labels[undo >> 2] ^ (undo & 3)
     reduced = reduce_once(d)
     if reduced is not None:
-        hops.append(canonical_code(simplify(reduced)))
-    return hops
+        m, labels = simplify(reduced), {}
+        yield canonical_code(m, labels), m, labels, None
 
 
 def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
@@ -127,13 +147,14 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
         return cert
 
     def search(d):
-        code = canonical_code(d)
+        labels = {}
+        code = canonical_code(d, labels)
         if code in memo:
             return memo[code]
         seen = {code}
-        queue = collections.deque([(code, ())])
+        queue = collections.deque([(code, (), d, labels, None)])
         while queue:
-            mcode, via = queue.popleft()
+            mcode, via, src, labels, back = queue.popleft()
             if mcode in memo:
                 hit = memo[mcode]
                 if hit is None:
@@ -144,9 +165,10 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             if visited[0] >= cfg.node_budget:
                 raise _BudgetStop()
             visited[0] += 1
-            # work on the decoded canonical representative so stored
-            # crossing indices survive the code round trip
-            m = from_code(mcode)
+            # work on the canonical representative, from_code(mcode)
+            # item for item, so stored crossing indices survive the code
+            # round trip
+            m = relabel(src, labels)
             if m.n == 0:
                 if m.loops == 1:
                     return settle(code, via, QACertificate(mcode, 1))
@@ -171,10 +193,10 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
                     continue
                 leaf = QACertificate(mcode, det, c, (det, t0, t1), (c0, c1))
                 return settle(code, via, leaf)
-            for nc in _hops(m):
+            for nc, hop, hop_labels, hop_back in _hops(m, back):
                 if nc not in seen:
                     seen.add(nc)
-                    queue.append((nc, via + (nc,)))
+                    queue.append((nc, via + (nc,), hop, hop_labels, hop_back))
         for mcode in seen:
             memo[mcode] = None
         return None
@@ -194,12 +216,34 @@ def verify_certificate(cert: QACertificate) -> bool:
     additive split is rechecked, and each child code must equal the
     canonical code of the reduced smoothing, the only form the search
     writes.  Each via hop must be one orbit step of the previous
-    diagram, the same step the search takes; crossing and children are
-    checked against the final diagram of the chain, and a leaf must be
-    the 0-crossing unknot.  Fields of the wrong type, as JSON can
-    carry, fail the audit rather than raise; every determinant must be
-    an int, since True == 1 and 3.0 == 3 would otherwise pass.
+    diagram, the same step the search takes with nothing left out, and
+    the audit goes on from that step's canonical representative;
+    crossing and children are checked against the final diagram of the
+    chain, and a leaf must be the 0-crossing unknot.  Fields of the
+    wrong type, as JSON can carry, fail the audit rather than raise;
+    every determinant must be an int, since True == 1 and 3.0 == 3
+    would otherwise pass.
+
+    A search certificate shares subtrees: one memoized node object can
+    hang under several parents.  A node's audit does not depend on its
+    parent, so each distinct node object is audited once per call.
     """
+    passed = set()  # ids of nodes that passed; the tree keeps them alive
+
+    def audit(node):
+        if id(node) in passed:
+            return True
+        if not _audit_node(node, audit):
+            return False
+        passed.add(id(node))
+        return True
+
+    return audit(cert)
+
+
+def _audit_node(cert, audit):
+    """verify_certificate's checks of one node, auditing its children
+    through audit."""
     if not isinstance(cert.diagram_code, str) or type(cert.det) is not int:
         return False
     try:
@@ -209,9 +253,12 @@ def verify_certificate(cert: QACertificate) -> bool:
     if determinant(d) != cert.det:
         return False
     for hop in cert.via:
-        if hop not in _hops(d):
+        for code, m, labels, _ in _hops(d):
+            if code == hop:
+                break
+        else:
             return False
-        d = from_code(hop)
+        d = relabel(m, labels)
     if cert.via and determinant(d) != cert.det:
         return False
     if not cert.children:
@@ -228,7 +275,7 @@ def verify_certificate(cert: QACertificate) -> bool:
         return False
     for kind, child in zip(_smoothing_kinds(crossing_signs(d)[c]), (c0, c1)):
         code = canonical_code(simplify(smooth(d, c, kind)))
-        if child.diagram_code != code or not verify_certificate(child):
+        if child.diagram_code != code or not audit(child):
             return False
     # both child determinants are now audited integers
     return c0.det >= 1 and c1.det >= 1 and c0.det + c1.det == cert.det

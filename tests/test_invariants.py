@@ -342,21 +342,23 @@ def braid_closures(seed, count):
 
 
 def search_nodes():
-    """The diagrams qa_search decodes on NEGATIVE_DIAGRAMS and 6*2.p
-    1.-2 0.-1.-2 for p = 2, 3, one per code, with crossings."""
-    nodes, real = {}, Q.from_code
+    """The canonical representatives qa_search works on for
+    NEGATIVE_DIAGRAMS and 6*2.p 1.-2 0.-1.-2 for p = 2, 3, one per
+    code, with crossings."""
+    nodes, real = {}, Q.relabel
 
-    def spy(code):
-        nodes[code] = real(code)
-        return nodes[code]
+    def spy(d, labels):
+        rep = real(d, labels)
+        nodes[D.canonical_code(rep)] = rep
+        return rep
 
-    Q.from_code = spy
+    Q.relabel = spy
     try:
         for sym in NEGATIVE_DIAGRAMS + ["6*2.%d 1.-2 0.-1.-2" % p
                                         for p in (2, 3)]:
             Q.qa_search(build(sym))
     finally:
-        Q.from_code = real
+        Q.relabel = real
     return [d for d in nodes.values() if d.n]
 
 

@@ -1,11 +1,14 @@
 """Certificate search, verification, and the extension operator."""
 
+import collections
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from qalinks import diagram as D
+from qalinks import qa
 from qalinks.invariants import LaurentPoly, determinant, jones
 from qalinks.diagram import ExtensionSignMismatch, ExtensionSpec, extend
 from qalinks.qa import (
@@ -14,6 +17,9 @@ from qalinks.qa import (
 )
 from qalinks.classify import montesinos_qa
 from qalinks.conway import conway_to_montesinos, parse
+
+from test_diagram import SYMBOLS, mixed_closures
+from test_homology import BATTERY
 
 
 def run(sym, **kw):
@@ -183,6 +189,72 @@ def test_via_hops_preserve_jones():
             assert jones(D.from_code(hop)) == j
 
 
+# --- canonical representatives ----------------------------------------
+
+# multi-piece diagrams and free loops come with the closures
+REPRESENTED = ([D.build(s) for s in SYMBOLS + BATTERY]
+               + mixed_closures(5, 120))
+
+
+def test_represented_corpus_has_pieces_and_loops():
+    assert any(len(D.graph_components(d)) > 1 for d in REPRESENTED)
+    assert any(d.loops and d.n for d in REPRESENTED)
+
+
+def test_representative_is_the_decoded_code():
+    for d in REPRESENTED:
+        for e in [d] + D.r3_moves(d):
+            labels = {}
+            code = D.canonical_code(e, labels)
+            rep, decoded = D.relabel(e, labels), D.from_code(code)
+            # item for item: simplify takes the first kink in adj order
+            assert ((rep.n, rep.loops, list(rep.adj.items()))
+                    == (decoded.n, decoded.loops, list(decoded.adj.items())))
+
+
+def orbit_walk(d, limit=300):
+    """The search's breadth-first walk of d's orbit, each member as
+    (representative, back plug, code of the member it was reached from)."""
+    labels = {}
+    queue = collections.deque([(d, labels, None, None)])
+    seen = {D.canonical_code(d, labels)}
+    for _ in range(limit):
+        if not queue:
+            return
+        src, labels, back, prev = queue.popleft()
+        m = D.relabel(src, labels)
+        yield m, back, prev
+        code = D.canonical_code(m)
+        for nc, s, lab, nback in qa._hops(m, back):
+            if nc not in seen:
+                seen.add(nc)
+                queue.append((s, lab, nback, code))
+
+
+def test_skipped_slide_returns_to_the_previous_member():
+    family = ["6*2.%d 1.-2 0.-1.-2" % p for p in (2, 3, 4)]
+    skipped = 0
+    for sym in NEGATIVE_DIAGRAMS + family:
+        root = D.simplify(D.build(sym))
+        starts = [root] + [D.simplify(D.smooth(root, c, kind))
+                           for c in range(root.n) for kind in "AB"]
+        for start in starts:
+            for m, back, prev in orbit_walk(start):
+                triangles = []
+                moves = D.r3_moves(m, triangles)
+                assert [x.adj for x in moves] == [x.adj for x in D.r3_moves(m)]
+                # a triangle is identified by a dart, so at most one
+                left_out = [D.canonical_code(x)
+                            for x, (tri, _) in zip(moves, triangles)
+                            if back in tri]
+                assert left_out in ([], [prev])
+                skipped += len(left_out)
+                coded = [h[0] for h in qa._hops(m, back)]
+                every = [h[0] for h in qa._hops(m)]
+                assert sorted(coded + left_out) == sorted(every)
+    assert skipped > 1000
+
+
 # --- verification rejects tampering -----------------------------------
 
 
@@ -329,6 +401,46 @@ def test_certificate_json_round_trip(sym):
     again = certificate_from_dict(json.loads(blob))
     assert again == cert
     assert verify_certificate(again)
+
+
+def test_shared_subtrees_are_audited_once(monkeypatch):
+    cert = run("6*2.3 1.-2 0.-1.-2").certificate
+    nodes = list(walk(cert))
+    distinct = list({id(node): node for node in nodes}.values())
+    assert len(distinct) < len(nodes)
+    calls, real = [], qa.determinant
+    monkeypatch.setattr(qa, "determinant",
+                        lambda d: calls.append(1) or real(d))
+    # the audit reads one determinant per node, two after a via chain
+    assert verify_certificate(cert)
+    assert len(calls) == sum(1 + bool(node.via) for node in distinct)
+    # a tree read back from JSON shares nothing, so every node counts
+    calls.clear()
+    assert verify_certificate(certificate_from_dict(certificate_to_dict(cert)))
+    assert len(calls) == sum(1 + bool(node.via) for node in nodes)
+
+
+def test_corrupted_shared_node_fails():
+    cert = run("6*2.3 1.-2 0.-1.-2").certificate
+    counts = collections.Counter(id(node) for node in walk(cert))
+    shared = next(node for node in walk(cert)
+                  if node.children and counts[id(node)] > 1)
+    # swapped children: only the node's own audit can tell
+    bad = replace(shared, children=shared.children[::-1])
+
+    def tampered(hits):
+        met = iter(range(counts[id(shared)]))
+
+        def swap(node):
+            if node is shared and next(met) in hits:
+                return bad
+            return replace(node, children=tuple(map(swap, node.children)))
+        return swap(cert)
+
+    # every occurrence, then the last alone, after copies that pass
+    for hits in (range(counts[id(shared)]), {counts[id(shared)] - 1}):
+        assert not verify_certificate(tampered(hits))
+    assert verify_certificate(tampered(()))
 
 
 def test_certificate_text_is_pinned():
