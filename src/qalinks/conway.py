@@ -273,41 +273,20 @@ def _negate_term(t):
     return -t
 
 
-def _toplevel_separator(text):
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in ".:":
-            return True
-    return False
-
-
 def _split_slots(text):
-    """Split a polyhedral body on top level dots, expanding ':' to '.1.'."""
-    expanded = []
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == ":" and depth == 0:
-            expanded.append(".1.")
-        else:
-            expanded.append(ch)
+    """Split a polyhedral body on top level dots, reading ':' as '.1.'."""
     segs = []
     cur = []
     depth = 0
-    for ch in "".join(expanded):
+    for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "." and depth == 0:
+        if ch in ".:" and depth == 0:
             segs.append("".join(cur))
+            if ch == ":":
+                segs.append("1")
             cur = []
         else:
             cur.append(ch)
@@ -320,40 +299,27 @@ def parse(text: str):
     src = re.sub(r"\s+", " ", text.strip())
     if not src:
         raise ConwaySyntaxError("empty symbol")
-    basis = None
-    shown = False
-    rest = src
     m = re.match(r"\d+\*+", src)
-    if m:
-        basis = m.group(0)
-        if basis not in BASIS_VERTICES:
-            raise UnknownBasisError("unknown basic polyhedron %r" % basis)
-        shown = True
-        rest = src[m.end():].strip()
-    elif _toplevel_separator(src):
-        basis = "6*"
-    if basis is None:
-        p = _Parser(src)
-        node = p.parse_ram()
-        p.expect_end()
-        return node
-    n = BASIS_VERTICES[basis]
+    basis = m.group(0) if m else "6*"
+    if basis not in BASIS_VERTICES:
+        raise UnknownBasisError("unknown basic polyhedron %r" % basis)
     slots = []
-    if rest:
-        for seg in _split_slots(rest):
-            seg = seg.strip()
-            if not seg:
-                slots.append(_ONE)
-                continue
-            p = _Parser(seg)
-            node = p.parse_ram()
-            p.expect_end()
-            slots.append(node)
+    for seg in _split_slots(src[m.end():] if m else src):
+        seg = seg.strip()
+        if not seg:
+            slots.append(_ONE)
+            continue
+        p = _Parser(seg)
+        slots.append(p.parse_ram())
+        p.expect_end()
+    if not m and len(slots) == 1:
+        return slots[0]  # no top level separator: an algebraic tangle
+    n = BASIS_VERTICES[basis]
     if len(slots) > n:
         raise VertexArityError(
             "%d tangles for the %d vertices of %s" % (len(slots), n, basis))
     slots.extend([_ONE] * (n - len(slots)))
-    return Poly(basis, tuple(slots), shown)
+    return Poly(basis, tuple(slots), m is not None)
 
 
 def _lead_run(k):

@@ -21,6 +21,13 @@ Conventions used throughout:
 
 Plugs are encoded as 4*crossing + slot; tangles additionally carry the
 free corner plugs "NW", "SW", "SE", "NE".
+
+A closed diagram is its plug table: adj[p] is the plug at the other
+end of p's arc, a list of length 4n that is an involution with no
+fixed point.  Every constructor fills the whole table and nothing
+changes it afterwards, so a walk "from the smallest plug" is the only
+order a result can depend on.  Tangles keep a dict of arcs, since
+their corners are names.
 """
 
 from __future__ import annotations
@@ -132,9 +139,13 @@ def _plugs(ids, slots=range(4)):
     return [4 * e + s for e in ids for s in slots]
 
 
-def _renamed(arcs, m):
-    """The arcs with every plug p renamed m[p], in the same order."""
-    return {m[a]: m[b] for a, b in arcs.items()}
+def _table(k, arcs, m):
+    """Plug table of k crossings holding each arc (p, q) of arcs as
+    the arc from m[p] to m[q]."""
+    adj = [0] * (4 * k)
+    for p, q in arcs:
+        adj[m[p]] = m[q]
+    return adj
 
 
 def _tangle_arcs(t: Tangle, ids, slots=range(4), corners={}):
@@ -142,7 +153,7 @@ def _tangle_arcs(t: Tangle, ids, slots=range(4), corners={}):
     corners.get(k, k)."""
     m = dict(zip(CORNERS, CORNERS), **corners)
     m.update(enumerate(_plugs(ids, slots)))
-    return _renamed(t.arcs, m)
+    return {m[a]: m[b] for a, b in t.arcs.items()}
 
 
 def add(a: Tangle, b: Tangle) -> Tangle:
@@ -167,16 +178,27 @@ def tangle_mirror(t: Tangle) -> Tangle:
 @dataclass(slots=True)
 class LinkDiagram:
     n: int
-    adj: dict
+    adj: list
     loops: int = 0
 
     def __repr__(self):
         return "LinkDiagram(n=%d, loops=%d)" % (self.n, self.loops)
 
 
+def _closed(n, arcs, loops, dead=()) -> LinkDiagram:
+    """The diagram of an arc dict over the plugs of n crossings, as
+    fuse returns it, without the dead crossings, whose plugs have no
+    arc; the others keep their order."""
+    ids, k = [], 0  # c -> its new id
+    for c in range(n):
+        ids.append(k)
+        k += c not in dead
+    return LinkDiagram(k, _table(k, arcs.items(), _plugs(ids)), loops)
+
+
 def closure_numerator(t: Tangle) -> LinkDiagram:
     arcs, loops = fuse(t.arcs, [("NW", "NE"), ("SW", "SE")])
-    return LinkDiagram(t.n, arcs, t.loops + loops)
+    return _closed(t.n, arcs, t.loops + loops)
 
 
 def _expr_tangle(node) -> Tangle:
@@ -357,7 +379,7 @@ def _build_poly(node: Poly) -> LinkDiagram:
              for v, frame in enumerate(BASIS_FRAMES[node.basis])
              for k, (w, j) in enumerate(frame) if (v, k) < (w, j)]
     arcs, extra = fuse(arcs, pairs)
-    return LinkDiagram(total, arcs, loops + extra)
+    return _closed(total, arcs, loops + extra)
 
 
 # --- braids ----------------------------------------------------------
@@ -390,7 +412,7 @@ def from_braid(word, strands: int) -> LinkDiagram:
         _pair(arcs, ("bot", k), boundary[k])
     pairs = [(("top", k), ("bot", k)) for k in range(strands)]
     arcs, loops = fuse(arcs, pairs)
-    return LinkDiagram(n, arcs, loops)
+    return _closed(n, arcs, loops)
 
 
 # --- diagram operations ----------------------------------------------
@@ -445,12 +467,12 @@ def writhe(d: LinkDiagram) -> int:
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
-    return LinkDiagram(d.n, _renamed(d.adj, _plugs(range(d.n), _TURN)),
-                       d.loops)
+    m = _plugs(range(d.n), _TURN)
+    return LinkDiagram(d.n, _table(d.n, enumerate(d.adj), m), d.loops)
 
 
 def is_alternating(d: LinkDiagram) -> bool:
-    return all((a + b) % 2 == 1 for a, b in d.adj.items())
+    return all((a + b) % 2 == 1 for a, b in enumerate(d.adj))
 
 
 def state_circles(d: LinkDiagram, state: int):
@@ -514,27 +536,19 @@ def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
         pairs = [(4 * c, 4 * c + 3), (4 * c + 1, 4 * c + 2)]
     else:
         raise ValueError(kind)
-    arcs, loops = fuse(d.adj, pairs)
-    return _drop_crossings(LinkDiagram(d.n, arcs, d.loops + loops), {c})
-
-
-def _drop_crossings(d: LinkDiagram, dead) -> LinkDiagram:
-    ids, k = [], 0  # c -> its new id; a dead crossing's plugs have no arc
-    for c in range(d.n):
-        ids.append(k)
-        k += c not in dead
-    return LinkDiagram(k, _renamed(d.adj, _plugs(ids)), d.loops)
+    arcs, loops = fuse(dict(enumerate(d.adj)), pairs)
+    return _closed(d.n, arcs, d.loops + loops, {c})
 
 
 def _find_kink(d: LinkDiagram):
-    for a, b in d.adj.items():
+    for a, b in enumerate(d.adj):
         if a // 4 == b // 4 and a < b and (b - a) % 4 in (1, 3):
             return a, b
     return None
 
 
 def _find_bigon(d: LinkDiagram):
-    for a, b in d.adj.items():
+    for a, b in enumerate(d.adj):
         if a >= b or a // 4 == b // 4:
             continue
         c, e = a // 4, b // 4
@@ -554,7 +568,9 @@ def _find_bigon(d: LinkDiagram):
 
 
 def reduce_once(d: LinkDiagram):
-    """One Reidemeister 1 or 2 reduction, or None."""
+    """One Reidemeister 1 or 2 reduction, or None: the kink with the
+    smallest plug if there is one, else the bigon with the smallest
+    plug."""
     kink = _find_kink(d)
     if kink:
         # the smoothing that joins the kink's two ends splits it off
@@ -565,13 +581,12 @@ def reduce_once(d: LinkDiagram):
     bigon = _find_bigon(d)
     if bigon:
         (a, b), (a2, b2) = bigon
-        arcs = dict(d.adj)
+        arcs = dict(enumerate(d.adj))
         for p in (a, b, a2, b2):
             del arcs[p]
         pairs = [(_through(a), _through(b)), (_through(a2), _through(b2))]
         arcs, loops = fuse(arcs, pairs)
-        return _drop_crossings(LinkDiagram(d.n, arcs, d.loops + loops),
-                               {a // 4, b // 4})
+        return _closed(d.n, arcs, d.loops + loops, {a // 4, b // 4})
     return None
 
 
@@ -603,14 +618,15 @@ def r3_moves(d: LinkDiagram, triangles=None):
     move whose dart runs along the triangle left behind.  Sliding that
     triangle is the slide back to d.
     """
-    out = []
+    adj, out = d.adj, []
     for face in faces(d):
         if len(face) != 3:
             continue
-        if len({q // 4 for _, q in face}) != 3:
+        if len({p // 4 for p in face}) != 3:
             continue
         for i in range(3):
-            p, q = face[i]
+            p = face[i]
+            q = adj[p]
             if p % 2 != q % 2:
                 continue
             prev = face[(i + 2) % 3]
@@ -619,29 +635,28 @@ def r3_moves(d: LinkDiagram, triangles=None):
             # other two strands U (through A) and V (through B) cross
             # each other at C; *_tri plugs face the triangle
             sa_tri, sb_tri = p, q
-            ua_tri, uc_tri = prev[1], prev[0]
-            vb_tri, vc_tri = nxt[0], nxt[1]
+            ua_tri, uc_tri = adj[prev], prev
+            vb_tri, vc_tri = nxt, adj[nxt]
             sa_ext, sb_ext = _through(sa_tri), _through(sb_tri)
             ua_ext, uc_ext = _through(ua_tri), _through(uc_tri)
             vb_ext, vc_ext = _through(vb_tri), _through(vc_tri)
             tri = {sa_tri, sb_tri, ua_tri, uc_tri, vb_tri, vc_tri,
                    sa_ext, sb_ext, ua_ext, uc_ext, vb_ext, vc_ext}
-            xsa, xsb = d.adj[sa_ext], d.adj[sb_ext]
-            xua, xuc = d.adj[ua_ext], d.adj[uc_ext]
-            xvb, xvc = d.adj[vb_ext], d.adj[vc_ext]
+            xsa, xsb = adj[sa_ext], adj[sb_ext]
+            xua, xuc = adj[ua_ext], adj[uc_ext]
+            xvb, xvc = adj[vb_ext], adj[vc_ext]
             if {xsa, xsb, xua, xuc, xvb, xvc} & tri:
                 continue
-            adj = dict(d.adj)
-            for x in tri | {xsa, xsb, xua, xuc, xvb, xvc}:
-                adj.pop(x, None)
+            # the nine new arcs cover the 18 plugs of the old ones
+            moved = list(adj)
             for a, b in ((xsa, sb_tri), (sb_ext, sa_ext), (sa_tri, xsb),
                          (xua, uc_tri), (uc_ext, ua_ext), (ua_tri, xuc),
                          (xvb, vc_tri), (vc_ext, vb_ext), (vb_tri, xvc)):
-                _pair(adj, a, b)
-            out.append(LinkDiagram(d.n, adj, d.loops))
+                _pair(moved, a, b)
+            out.append(LinkDiagram(d.n, moved, d.loops))
             if triangles is not None:
                 # the new triangle's darts leave sa_ext, vb_ext, uc_ext
-                triangles.append(([p for p, _ in face], sa_ext))
+                triangles.append((face, sa_ext))
             break
     return out
 
@@ -689,26 +704,27 @@ def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
             "entries %r do not extend a crossing of sign %+d"
             % (list(spec.entries), sign))
     t = _expr_tangle(Seq(spec.entries))
-    arcs = dict(d.adj)
+    arcs = dict(enumerate(d.adj))
     arcs.update(_tangle_arcs(t, range(d.n, d.n + t.n)))
     frame = _FRAME[sign]
     arcs, loops = fuse(arcs, [(corner, 4 * c + s)
                               for corner, s in frame.items()])
-    merged = LinkDiagram(d.n + t.n, arcs, d.loops + t.loops + loops)
-    return _drop_crossings(merged, {c})
+    return _closed(d.n + t.n, arcs, d.loops + t.loops + loops, {c})
 
 
 # --- faces and codes -------------------------------------------------
 
 def faces(d: LinkDiagram):
-    """Faces of the diagram as cycles of darts (ordered arc traversals).
+    """Faces of the diagram, each as the tuple of plugs its darts leave
+    from, in walking order; faces come in the order of their smallest
+    plugs.
 
-    A dart (p, q) runs along the arc from plug p to plug q; the next
-    dart of the face turns left, leaving from the plug one step counter
-    clockwise of q.
+    A dart runs along the arc from plug p to plug adj[p], so it is
+    fixed by the plug it leaves from; the next dart of the face turns
+    left, leaving from the plug one step counter clockwise of adj[p].
     """
     adj, turn = d.adj, _plugs(range(d.n), _TURN)
-    seen = bytearray(4 * d.n)  # a dart is fixed by the plug it leaves from
+    seen = bytearray(4 * d.n)
     out = []
     for start in range(4 * d.n):
         if seen[start]:
@@ -717,9 +733,8 @@ def faces(d: LinkDiagram):
         p = start
         while not seen[p]:
             seen[p] = 1
-            q = adj[p]
-            face.append((p, q))
-            p = turn[q]
+            face.append(p)
+            p = turn[adj[p]]
         out.append(tuple(face))
     return out
 
@@ -774,11 +789,10 @@ def canonical_code(d: LinkDiagram, labels=None) -> str:
 
 
 def relabel(d: LinkDiagram, labels) -> LinkDiagram:
-    """d with plug 4c + s renamed labels[c] ^ s and the plugs listed in
-    order; with the labels of canonical_code(d) this is
-    from_code(canonical_code(d)), item for item."""
+    """d with plug 4c + s renamed labels[c] ^ s; with the labels of
+    canonical_code(d) this is from_code(canonical_code(d))."""
     m = [labels[p >> 2] ^ (p & 3) for p in range(4 * d.n)]
-    return LinkDiagram(d.n, dict(sorted(_renamed(d.adj, m).items())), d.loops)
+    return LinkDiagram(d.n, _table(d.n, enumerate(d.adj), m), d.loops)
 
 
 def from_code(code: str) -> LinkDiagram:
@@ -796,16 +810,16 @@ def from_code(code: str) -> LinkDiagram:
         raise ValueError("missing loop count in %r" % code)
     if loops < 0:
         raise ValueError("negative loop count in %r" % code)
-    arcs = {}
+    adj = []  # pair k of row i of the piece at base is plug 4 * (base + i) + k
     base = 0
     if body:
         for comp in body.split(";"):
             rows = comp.split(",")
-            for i, row in enumerate(rows):
+            for row in rows:
                 pairs = row.split(" ")
                 if len(pairs) != 4:
                     raise ValueError("crossing row %r is not 4-valent" % row)
-                for k, pq in enumerate(pairs):
+                for pq in pairs:
                     e, _, t = pq.partition(".")
                     try:
                         e, t = int(e), int(t)
@@ -813,12 +827,12 @@ def from_code(code: str) -> LinkDiagram:
                         raise ValueError("bad plug pair %r" % pq)
                     if not (0 <= e < len(rows) and 0 <= t < 4):
                         raise ValueError("plug %r out of range" % pq)
-                    arcs[4 * (base + i) + k] = 4 * (base + e) + t
+                    adj.append(4 * (base + e) + t)
             base += len(rows)
-    for a, b in arcs.items():
-        if a == b or arcs.get(b) != a:
+    for a, b in enumerate(adj):
+        if a == b or adj[b] != a:
             raise ValueError("plug gluing is not an involution")
-    d = LinkDiagram(base, arcs, loops)
+    d = LinkDiagram(base, adj, loops)
     # Euler: each piece of a planar diagram has n_i + 2 faces, and a
     # gluing that needs a handle has fewer
     if len(faces(d)) != d.n + 2 * len(graph_components(d)):

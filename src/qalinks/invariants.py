@@ -343,10 +343,9 @@ def _goeritz(d, color):
         raise diag.DisconnectedDiagramError("diagram is split")
     # plug -> the row of the face leaving it, -1 for the other color
     row, rows_used = [-1] * (4 * d.n), 0
-    for darts in fs:
-        start = darts[0][0]
-        if flip[start >> 2] ^ start & 1 == color:
-            for p, _ in darts:
+    for face in fs:
+        if flip[face[0] >> 2] ^ face[0] & 1 == color:
+            for p in face:
                 row[p] = rows_used
             rows_used += 1
     g = [[0] * rows_used for _ in range(rows_used)]

@@ -165,9 +165,9 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             if visited[0] >= cfg.node_budget:
                 raise _BudgetStop()
             visited[0] += 1
-            # work on the canonical representative, from_code(mcode)
-            # item for item, so stored crossing indices survive the code
-            # round trip
+            # work on the canonical representative, which is
+            # from_code(mcode), so stored crossing indices survive the
+            # code round trip
             m = relabel(src, labels)
             if m.n == 0:
                 if m.loops == 1:

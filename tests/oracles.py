@@ -21,7 +21,8 @@ lockstep read prunes.
 dart_faces walks the faces dart by dart, as (p, q) tuples, and
 r3_moves_every_arc slides every same-level arc of every triangle, so
 each move comes once from its top strand and once from its bottom
-strand; the package walks plugs and returns one slide per triangle.
+strand; the package lists each face by the plugs its darts leave from
+and returns one slide per triangle.
 
 joined_plugs joins plugs by union-find over the arcs and given slot
 pairs at every crossing, with the parity of each plug's distance from
@@ -38,8 +39,8 @@ over F2, both labels on every circle, from union_find_circles and the
 public crossing_signs alone; the package builds only the marked-circle
 subcomplex and doubles its ranks.
 
-checkerboard colors the faces of the public faces walk by a search over
-their dart adjacency, and checkerboard_goeritz builds the Goeritz
+checkerboard colors the faces of dart_faces by a search over their
+dart adjacency, and checkerboard_goeritz builds the Goeritz
 matrix from it; minor_smoothing_determinants reads each crossing's
 contraction as a minor of that matrix, eliminated over the rationals.
 The package colors by corner alternation and reads every contraction
@@ -54,8 +55,7 @@ from fractions import Fraction
 from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
 from qalinks.diagram import (
-    DisconnectedDiagramError, LinkDiagram, crossing_signs, faces,
-    graph_components,
+    DisconnectedDiagramError, LinkDiagram, crossing_signs, graph_components,
 )
 from qalinks.invariants import LaurentPoly
 
@@ -193,7 +193,7 @@ def dart_faces(d):
     the next dart leaves from the plug one step counter clockwise of
     q."""
     out, seen = [], set()
-    for start in sorted(d.adj.items()):
+    for start in enumerate(d.adj):
         if start in seen:
             continue
         face, dart = [], start
@@ -226,8 +226,7 @@ def r3_moves_every_arc(d):
             ext = {x: d.adj[opp(x)] for x in inner}
             if set(ext.values()) & tri:
                 continue
-            adj = {a: b for a, b in d.adj.items()
-                   if a not in tri and a not in ext.values()}
+            adj = list(d.adj)
             # each strand passes its two crossings in the other order
             for a, b in ((ext[sa], sb), (opp(sb), opp(sa)), (sa, ext[sb]),
                          (ext[ua], uc), (opp(uc), opp(ua)), (ua, ext[uc]),
@@ -254,7 +253,7 @@ def joined_plugs(d, slot_pairs):
             flip[p] ^= flip[q]
         return parent[p]
 
-    joins = list(d.adj.items())
+    joins = list(enumerate(d.adj))
     for c, pairs in enumerate(slot_pairs):
         joins += [(4 * c + s, 4 * c + t) for s, t in pairs]
     for a, b in joins:
@@ -411,7 +410,7 @@ def checkerboard(d):
     0 colored 0."""
     if d.n == 0:
         raise DisconnectedDiagramError("no crossings to color around")
-    fs = faces(d)
+    fs = dart_faces(d)
     # a connected diagram with n crossings has n+2 faces by Euler
     if d.loops or len(fs) != d.n + 2:
         raise DisconnectedDiagramError("diagram is split")

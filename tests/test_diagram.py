@@ -32,6 +32,14 @@ def build(s):
     return D.build(s)
 
 
+def renamed(d, m):
+    """d with every plug p renamed m(p)."""
+    adj = [None] * (4 * d.n)
+    for a, b in enumerate(d.adj):
+        adj[m(a)] = m(b)
+    return D.LinkDiagram(d.n, adj, d.loops)
+
+
 def shuffled(d, seed):
     rng = random.Random(seed)
     perm = list(range(d.n))
@@ -41,7 +49,7 @@ def shuffled(d, seed):
         c, s = divmod(p, 4)
         return 4 * perm[c] + s
 
-    return D.LinkDiagram(d.n, {m(a): m(b) for a, b in d.adj.items()}, d.loops)
+    return renamed(d, m)
 
 
 def turned(d, seed):
@@ -54,7 +62,7 @@ def turned(d, seed):
         c, s = divmod(p, 4)
         return 4 * c + (s + 2) % 4 if c in flip else p
 
-    return D.LinkDiagram(d.n, {m(a): m(b) for a, b in d.adj.items()}, d.loops)
+    return renamed(d, m)
 
 
 def mixed_closures(seed, count, max_strands=4):
@@ -306,7 +314,7 @@ class TestR3AgainstEveryArc:
             assert len(every) == 2 * len(moves)
             assert ({D.canonical_code(m) for m in moves}
                     == {D.canonical_code(m) for m in every})
-            adjs = [tuple(sorted(m.adj.items())) for m in moves]
+            adjs = [tuple(m.adj) for m in moves]
             assert len(adjs) == len(set(adjs))
 
     def test_slides_are_involutive(self):
@@ -316,12 +324,45 @@ class TestR3AgainstEveryArc:
                 assert code in {D.canonical_code(b) for b in D.r3_moves(m)}
 
 
+class TestPlugTable:
+    """Every diagram the package returns holds its arcs as a plug table:
+    a list of length 4n that is an involution with no fixed point."""
+
+    CORPUS = [build(s) for s in SYMBOLS] + mixed_closures(5, 120)
+
+    @staticmethod
+    def made_from(d):
+        labels = {}
+        code = D.canonical_code(d, labels)
+        out = [d, D.mirror(d), D.relabel(d, labels), D.from_code(code)]
+        out += D.r3_moves(d)
+        out += [D.smooth(d, c, kind) for c in range(d.n) for kind in "AB"]
+        e = D.reduce_once(d)
+        while e is not None:
+            out.append(e)
+            e = D.reduce_once(e)
+        if d.n:
+            sign = D.crossing_signs(d)[0]
+            out.append(D.extend(d, D.ExtensionSpec(0, (2 * sign,))))
+        return out
+
+    def test_every_constructor(self):
+        for d in self.CORPUS:
+            for e in self.made_from(d):
+                assert type(e.adj) is list
+                assert sorted(e.adj) == list(range(4 * e.n))
+                assert all(q != p and e.adj[q] == p
+                           for p, q in enumerate(e.adj))
+
+
 class TestFacesPin:
-    """The plug walk lists the dart walk's faces in the same order."""
+    """The plug walk lists the dart walk's faces in the same order, each
+    by the plugs its darts leave from."""
 
     def test_same_list(self):
         for d in TestR3AgainstEveryArc.CORPUS:
-            assert D.faces(d) == dart_faces(d)
+            assert D.faces(d) == [tuple(p for p, _ in face)
+                                  for face in dart_faces(d)]
 
 
 class TestCorpus:
@@ -357,11 +398,10 @@ class TestCorpus:
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_mirror_involution(self, sym):
         # mirror turns every slot one step, so twice is the half turn
-        # p -> p ^ 2 of every crossing, plug for plug and in arc order
+        # p -> p ^ 2 of every crossing, plug for plug
         d = build(sym)
         twice = D.mirror(D.mirror(d))
-        assert list(twice.adj.items()) == [(p ^ 2, q ^ 2)
-                                           for p, q in d.adj.items()]
+        assert twice.adj == [d.adj[p ^ 2] ^ 2 for p in range(4 * d.n)]
         assert D.mirror(D.mirror(twice)).adj == d.adj
         assert D.canonical_code(twice) == D.canonical_code(d)
 

@@ -53,7 +53,7 @@ class TestSmallTables:
         assert ranks == {(0, 1): 1, (0, -1): 1}
 
     def test_two_component_unlink(self):
-        d = D.LinkDiagram(0, {}, 2)
+        d = D.LinkDiagram(0, [], 2)
         ranks = H.khovanov_f2(d)
         assert ranks == {(0, 2): 1, (0, 0): 2, (0, -2): 1}
 
@@ -73,7 +73,7 @@ class TestSmallTables:
         assert set(j - 2 * i for i, j in ranks) == {-1, 1}
 
     def test_empty_diagram(self):
-        assert H.khovanov_f2(D.LinkDiagram(0, {}, 0)) == {(0, 0): 1}
+        assert H.khovanov_f2(D.LinkDiagram(0, [], 0)) == {(0, 0): 1}
 
     def test_keys_sorted(self):
         for sym in BATTERY:

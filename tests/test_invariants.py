@@ -128,11 +128,11 @@ class TestBracket:
 
     def test_empty_link_has_no_normalized_bracket(self):
         # the normalization divides by one circle, and there is none
-        empty = D.LinkDiagram(0, {}, 0)
+        empty = D.LinkDiagram(0, [], 0)
         for f in (I.bracket, I.jones):
             with pytest.raises(D.DisconnectedDiagramError, match="empty link"):
                 f(empty)
-        assert I.jones(D.LinkDiagram(0, {}, 1)) == LaurentPoly({0: 1})
+        assert I.jones(D.LinkDiagram(0, [], 1)) == LaurentPoly({0: 1})
 
     def test_twenty_five_crossings_match_determinant(self):
         # 2^25 states would take hours; the scan keeps few open ends
