@@ -63,6 +63,10 @@ def fuse(arcs, pairs):
     the new arc dict and the number of closed loops that formed.
     A pair (a, a) where a has no arc is a free strand closing on
     itself and counts as a loop directly.
+
+    arcs is a dict, or a closed diagram's plug table read as it is:
+    the table is an involution with no fixed point, so iterating it
+    yields every plug once, as iterating a dict yields its keys.
     """
     loops = 0
     link = {}
@@ -536,7 +540,7 @@ def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
         pairs = [(4 * c, 4 * c + 3), (4 * c + 1, 4 * c + 2)]
     else:
         raise ValueError(kind)
-    arcs, loops = fuse(dict(enumerate(d.adj)), pairs)
+    arcs, loops = fuse(d.adj, pairs)
     return _closed(d.n, arcs, d.loops + loops, {c})
 
 
@@ -581,11 +585,9 @@ def reduce_once(d: LinkDiagram):
     bigon = _find_bigon(d)
     if bigon:
         (a, b), (a2, b2) = bigon
-        arcs = dict(enumerate(d.adj))
-        for p in (a, b, a2, b2):
-            del arcs[p]
-        pairs = [(_through(a), _through(b)), (_through(a2), _through(b2))]
-        arcs, loops = fuse(arcs, pairs)
+        # both strands pass straight through both crossings
+        pairs = [(p, _through(p)) for p in (a, b, a2, b2)]
+        arcs, loops = fuse(d.adj, pairs)
         return _closed(d.n, arcs, d.loops + loops, {a // 4, b // 4})
     return None
 

@@ -269,24 +269,28 @@ def smoothing_determinants(d):
 
     The pair at crossing c equals the determinants of smooth(d, c, "A")
     and smooth(d, c, "B"), and all of them are read off the diagram's
-    one reduced Goeritz matrix R (row 0 dropped).  Corner s lies
-    between slots s and s+1; A joins corners 1 and 3, B joins corners
-    0 and 2.  So where the white faces sit at corners 0 and 2 (eta =
-    1), B merges them and contracts the crossing's Tait edge while A
-    deletes it; at eta = -1 the roles swap.  With b = e_i - e_j for the
-    edge's two faces, row 0 dropped, the matrix determinant lemma on
-    the Laplacian gives the contraction as b^T adj(R) b, and the
-    deletion as det R - eta * b^T adj(R) b; one fraction-free
-    Gauss-Jordan pass yields det R and adj R.  A loop edge (one white
-    face at both corners) has b = 0 and contracts to a split diagram,
-    determinant 0.  A singular R (a connected diagram of determinant
-    0) has no pivot to finish the pass, and reads each contraction as
-    the minor without both faces' rows instead.
+    one reduced Goeritz matrix R (row 0 dropped).  R is built on the
+    checkerboard color with fewer faces, ties to color 0: every value
+    is the determinant of a link, which either color gives, and the
+    elimination is cubic in the size of R.  Those faces are the white
+    ones below.  Corner s lies between slots s and s+1; A joins
+    corners 1 and 3, B joins corners 0 and 2.  So where the white
+    faces sit at corners 0 and 2 (eta = 1), B merges them and
+    contracts the crossing's Tait edge while A deletes it; at eta = -1
+    the roles swap.  With b = e_i - e_j for the edge's two faces, row
+    0 dropped, the matrix determinant lemma on the Laplacian gives the
+    contraction as b^T adj(R) b, and the deletion as det R - eta * b^T
+    adj(R) b; one fraction-free Gauss-Jordan pass yields det R and adj
+    R.  A loop edge (one white face at both corners) has b = 0 and
+    contracts to a split diagram, determinant 0.  A singular R (a
+    connected diagram of determinant 0) has no pivot to finish the
+    pass, and reads each contraction as the minor without both faces'
+    rows instead.
     """
     if d.n == 0:
         return (1 if d.loops == 1 else 0), []
     try:
-        g, etas, rows = _goeritz(d, 0)
+        g, etas, rows = _goeritz(d, None)
     except diag.DisconnectedDiagramError:
         return 0, [(0, 0)] * d.n
     whole, adj = _det_adj(_minor(g, (0,)))
@@ -310,6 +314,7 @@ def smoothing_determinants(d):
 def _goeritz(d, color):
     """Goeritz matrix of the faces of one color, with etas and face rows.
 
+    color None picks the color with fewer faces, ties to color 0.
     The matrix has one row per face of this color and rows summing to
     zero; any principal minor one row smaller is the reduced matrix.
     etas[c] is the corner type of crossing c: 1 when its two faces of
@@ -341,10 +346,13 @@ def _goeritz(d, color):
     # a connected diagram with n crossings has n+2 faces by Euler
     if len(fs) != d.n + 2:
         raise diag.DisconnectedDiagramError("diagram is split")
+    colors = [flip[face[0] >> 2] ^ face[0] & 1 for face in fs]
+    if color is None:
+        color = int(2 * sum(colors) < len(fs))
     # plug -> the row of the face leaving it, -1 for the other color
     row, rows_used = [-1] * (4 * d.n), 0
-    for face in fs:
-        if flip[face[0] >> 2] ^ face[0] & 1 == color:
+    for face, face_color in zip(fs, colors):
+        if face_color == color:
             for p in face:
                 row[p] = rows_used
             rows_used += 1

@@ -37,6 +37,12 @@ triangle slide leaves out the slide back through the triangle it was
 slid through: that slide's code is the previous member's, already
 seen, so it is never coded.
 
+One search codes each plug table once.  The same table comes back
+from other crossings of a member and from other members of an orbit,
+so the call keeps a dict from the table and its loop count to the
+code and its crossing map, and drops it when it returns.  The audit
+codes every diagram itself.
+
 Negative outcomes are statements about the orbit the search explored,
 not about the underlying link.
 """
@@ -101,26 +107,27 @@ def _smoothing_kinds(sign):
     return ("A", "B") if sign > 0 else ("B", "A")
 
 
-def _hops(d, back=None):
+def _hops(d, coder, back=None):
     """One orbit step from d: its triangle slides, then its reduction
     when it has one, each as (code, diagram, labels, back) where
     relabel(diagram, labels) is the hop's canonical representative and
     back is the plug of that representative whose triangle slides back
-    to d (None after a reduction).  The slide through the triangle of
-    d with a dart leaving plug back is left out and never coded: it
-    returns to the member d was slid from.  simplify carries on from
-    the reduction already found instead of finding it again."""
+    to d (None after a reduction).  coder(diagram, labels) is
+    canonical_code or the search's memo of it.  The slide through the
+    triangle of d with a dart leaving plug back is left out and never
+    coded: it returns to the member d was slid from.  simplify carries
+    on from the reduction already found instead of finding it again."""
     triangles = []
     moves = r3_moves(d, triangles)
     for m, (tri, undo) in zip(moves, triangles):
         if back not in tri:
             labels = {}
-            code = canonical_code(m, labels)
+            code = coder(m, labels)
             yield code, m, labels, labels[undo >> 2] ^ (undo & 3)
     reduced = reduce_once(d)
     if reduced is not None:
         m, labels = simplify(reduced), {}
-        yield canonical_code(m, labels), m, labels, None
+        yield coder(m, labels), m, labels, None
 
 
 def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
@@ -136,6 +143,17 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
         raise ValueError("node budget must be at least 1")
     memo = {}
     visited = [0]
+    codes = {}  # (plug table, loops) -> (code, labels)
+
+    def coded(d, labels):
+        # canonical_code(d, labels), each plug table coded once
+        key = tuple(d.adj), d.loops
+        hit = codes.get(key)
+        if hit is None:
+            hit = codes[key] = canonical_code(d, labels), labels
+        else:
+            labels.update(hit[1])
+        return hit[0]
 
     def settle(code, via, cert):
         # record the witness both for the member it was found at and,
@@ -148,7 +166,7 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
 
     def search(d):
         labels = {}
-        code = canonical_code(d, labels)
+        code = coded(d, labels)
         if code in memo:
             return memo[code]
         seen = {code}
@@ -193,7 +211,7 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
                     continue
                 leaf = QACertificate(mcode, det, c, (det, t0, t1), (c0, c1))
                 return settle(code, via, leaf)
-            for nc, hop, hop_labels, hop_back in _hops(m, back):
+            for nc, hop, hop_labels, hop_back in _hops(m, coded, back):
                 if nc not in seen:
                     seen.add(nc)
                     queue.append((nc, via + (nc,), hop, hop_labels, hop_back))
@@ -253,7 +271,7 @@ def _audit_node(cert, audit):
     if determinant(d) != cert.det:
         return False
     for hop in cert.via:
-        for code, m, labels, _ in _hops(d):
+        for code, m, labels, _ in _hops(d, canonical_code):
             if code == hop:
                 break
         else:

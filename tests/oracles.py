@@ -48,6 +48,11 @@ off one adjugate.
 
 fraction_sym_signature is Lagrange's reduction of a symmetric matrix
 over the rationals; the package runs the same pivots on integers.
+
+copying_smooth and copying_reduce_once smooth a crossing and remove a
+kink or bigon on a dict copy of the plug table, deleting a bigon's two
+arcs before fusing the crossings' outer plugs; the package passes the
+table to fuse as it is and fuses a bigon straight through.
 """
 
 from fractions import Fraction
@@ -55,7 +60,8 @@ from fractions import Fraction
 from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
 from qalinks.diagram import (
-    DisconnectedDiagramError, LinkDiagram, crossing_signs, graph_components,
+    DisconnectedDiagramError, LinkDiagram, _closed, _find_bigon, _find_kink,
+    _through, crossing_signs, fuse, graph_components,
 )
 from qalinks.invariants import LaurentPoly
 
@@ -534,3 +540,32 @@ def fraction_sym_signature(m):
         m = [[m[r][t] - (m[r][i] * m[j][t] + m[r][j] * m[i][t]) / b
               for t in rest] for r in rest]
     return sig
+
+
+def copying_smooth(d, c, kind):
+    """smooth on a dict copy of the plug table."""
+    slots = {"A": [(0, 1), (2, 3)], "B": [(0, 3), (1, 2)]}[kind]
+    pairs = [(4 * c + s, 4 * c + t) for s, t in slots]
+    arcs, loops = fuse(dict(enumerate(d.adj)), pairs)
+    return _closed(d.n, arcs, d.loops + loops, {c})
+
+
+def copying_reduce_once(d):
+    """reduce_once on a dict copy: a kink is smoothed off and its loop
+    dropped; a bigon's two arcs are deleted and the outer plugs of its
+    crossings fused across."""
+    kink = _find_kink(d)
+    if kink:
+        a, b = kink
+        s = copying_smooth(d, a // 4, "A" if (a + b) % 4 == 1 else "B")
+        return LinkDiagram(s.n, s.adj, s.loops - 1)
+    bigon = _find_bigon(d)
+    if bigon:
+        (a, b), (a2, b2) = bigon
+        arcs = dict(enumerate(d.adj))
+        for p in (a, b, a2, b2):
+            del arcs[p]
+        pairs = [(_through(a), _through(b)), (_through(a2), _through(b2))]
+        arcs, loops = fuse(arcs, pairs)
+        return _closed(d.n, arcs, d.loops + loops, {a // 4, b // 4})
+    return None

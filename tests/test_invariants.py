@@ -391,16 +391,32 @@ class TestSmoothingDeterminants:
         for d in self.NODES:
             self.check(d)
 
+    @staticmethod
+    def color(d):
+        """The color with fewer faces, ties to color 0."""
+        sizes = [len(I._goeritz(d, color)[0]) for color in (0, 1)]
+        return int(sizes[1] < sizes[0])
+
     def test_corpus_reaches_every_branch(self):
         # a singular reduced matrix, a loop edge, and edges at face 0,
-        # whose row the reduced matrix drops
-        ds = self.CLOSURES + [build(s) for s in SYMBOLS] + self.NODES
+        # whose row the reduced matrix drops, on each color that
+        # smoothing_determinants builds on; 2,2,-1 and the mirrored
+        # kink bring a singular matrix and a loop edge to color 1
+        named = [build("2,2,-1"), D.mirror(D.from_braid([1, 1, 1, 2], 3))]
+        ds = self.CLOSURES + [build(s) for s in SYMBOLS] + self.NODES + named
         connected = [d for d in ds
                      if not d.loops and len(D.graph_components(d)) == 1]
-        rows = [r for d in connected for r in I._goeritz(d, 0)[2]]
-        assert sum(I.determinant(d) == 0 for d in connected) >= 1
-        assert sum(i == j for i, j in rows) >= 1
-        assert sum(i != j and 0 in (i, j) for i, j in rows) >= 1
+        for d in connected:
+            assert I._goeritz(d, None) == I._goeritz(d, self.color(d))
+        for color in (0, 1):
+            picked = [d for d in connected if self.color(d) == color]
+            rows = [r for d in picked for r in I._goeritz(d, color)[2]]
+            assert sum(I.determinant(d) == 0 for d in picked) >= 1
+            assert sum(i == j for i, j in rows) >= 1
+            assert sum(i != j and 0 in (i, j) for i, j in rows) >= 1
+        assert [self.color(d) for d in named] == [1, 1]
+        for d in named:
+            self.check(d)
 
     def test_unknot_and_unlinks(self):
         assert I.smoothing_determinants(D.from_code("|1")) == (1, [])

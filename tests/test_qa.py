@@ -18,6 +18,7 @@ from qalinks.qa import (
 from qalinks.classify import montesinos_qa
 from qalinks.conway import conway_to_montesinos, parse
 
+from oracles import copying_reduce_once, copying_smooth
 from test_diagram import SYMBOLS, mixed_closures
 from test_homology import BATTERY
 
@@ -210,6 +211,32 @@ def test_representative_is_the_decoded_code():
             assert rep == decoded
 
 
+def test_smoothing_matches_the_copying_oracle():
+    loops_formed = 0
+    for d in REPRESENTED:
+        for c in range(d.n):
+            for kind in "AB":
+                s = D.smooth(d, c, kind)
+                assert s == copying_smooth(d, c, kind)
+                loops_formed += s.loops > d.loops
+        while d is not None:
+            nxt = D.reduce_once(d)
+            assert nxt == copying_reduce_once(d)
+            d = nxt
+    assert loops_formed > 0
+
+
+def test_smoothing_counts_the_loops_that_form():
+    kink = D.build("1")
+    assert [D.smooth(kink, 0, kind).loops for kind in "AB"] == [1, 2]
+    for kind in "AB":
+        assert D.smooth(kink, 0, kind) == copying_smooth(kink, 0, kind)
+    # an R2 whose outer arcs close on each other leaves two loops
+    unlink = D.from_braid([1, -1], 2)
+    assert D.reduce_once(unlink) == D.LinkDiagram(0, [], 2)
+    assert copying_reduce_once(unlink) == D.LinkDiagram(0, [], 2)
+
+
 def orbit_walk(d, limit=300):
     """The search's breadth-first walk of d's orbit, each member as
     (representative, back plug, code of the member it was reached from)."""
@@ -223,7 +250,7 @@ def orbit_walk(d, limit=300):
         m = D.relabel(src, labels)
         yield m, back, prev
         code = D.canonical_code(m)
-        for nc, s, lab, nback in qa._hops(m, back):
+        for nc, s, lab, nback in qa._hops(m, D.canonical_code, back):
             if nc not in seen:
                 seen.add(nc)
                 queue.append((s, lab, nback, code))
@@ -247,10 +274,38 @@ def test_skipped_slide_returns_to_the_previous_member():
                             if back in tri]
                 assert left_out in ([], [prev])
                 skipped += len(left_out)
-                coded = [h[0] for h in qa._hops(m, back)]
-                every = [h[0] for h in qa._hops(m)]
+                coded = [h[0] for h in qa._hops(m, D.canonical_code, back)]
+                every = [h[0] for h in qa._hops(m, D.canonical_code)]
                 assert sorted(coded + left_out) == sorted(every)
     assert skipped > 1000
+
+
+def test_each_plug_table_is_coded_once_per_search(monkeypatch):
+    real, tables, codes = D.canonical_code, [], []
+
+    def counted(d, labels=None):
+        tables.append((tuple(d.adj), d.loops))
+        codes.append(real(d, labels))
+        return codes[-1]
+
+    monkeypatch.setattr(qa, "canonical_code", counted)
+    certified = 0
+    for sym in NEGATIVE_DIAGRAMS + ["6*2.%d 1.-2 0.-1.-2" % p for p in (2, 3)]:
+        tables.clear()
+        out = run(sym, node_budget=150)
+        assert out.status != "budget-exceeded" and tables, sym
+        assert len(set(tables)) == len(tables), sym
+        if out.certified:
+            # the audit codes every child and every hop itself, with
+            # no memo of the search's
+            codes.clear()
+            assert verify_certificate(out.certificate)
+            nodes = list(walk(out.certificate))
+            want = {ch.diagram_code for node in nodes for ch in node.children}
+            want.update(hop for node in nodes for hop in node.via)
+            assert want and want <= set(codes)
+            certified += 1
+    assert certified == 2
 
 
 # --- verification rejects tampering -----------------------------------
