@@ -61,8 +61,7 @@ def fuse(arcs, pairs):
     pairs lists plugs to be fused two at a time; each listed plug
     disappears and its arc continues into its partner's arc. Returns
     the new arc dict and the number of closed loops that formed.
-    A pair (a, a) where a has no arc is a free strand closing on
-    itself and counts as a loop directly.
+    The two plugs of a pair are distinct.
 
     arcs is a dict, or a closed diagram's plug table read as it is:
     the table is an involution with no fixed point, so iterating it
@@ -71,11 +70,6 @@ def fuse(arcs, pairs):
     loops = 0
     link = {}
     for a, b in pairs:
-        if a == b:
-            if a in arcs:
-                raise ValueError("self fuse on a used plug")
-            loops += 1
-            continue
         link[a] = b
         link[b] = a
     out = {}
@@ -601,8 +595,9 @@ def simplify(d: LinkDiagram) -> LinkDiagram:
         d = nxt
 
 
-def r3_moves(d: LinkDiagram, triangles=None):
-    """All diagrams one Reidemeister 3 slide away, one per triangle.
+def r3_moves(d: LinkDiagram, back=None):
+    """The diagrams one Reidemeister 3 slide away, one per triangle,
+    each as a pair (move, undo).
 
     A triangular face admits a slide along a bounding arc that runs at
     the same level (over both ends or under both ends) through its two
@@ -615,14 +610,14 @@ def r3_moves(d: LinkDiagram, triangles=None):
     that touch a crossing twice, or whose surrounding arcs loop
     straight back into the triangle, are skipped.
 
-    A list passed as triangles receives one pair per move: the plugs
-    that the slid triangle's darts leave from in d, and a plug of the
-    move whose dart runs along the triangle left behind.  Sliding that
-    triangle is the slide back to d.
+    undo is a plug of the move whose dart runs along the triangle left
+    behind, so r3_moves(move, undo) leaves out the slide back to d.
+    The triangle of d with a dart leaving plug back is skipped in the
+    same way, before any arc is rewired.
     """
     adj, out = d.adj, []
     for face in faces(d):
-        if len(face) != 3:
+        if len(face) != 3 or back in face:
             continue
         if len({p // 4 for p in face}) != 3:
             continue
@@ -655,10 +650,8 @@ def r3_moves(d: LinkDiagram, triangles=None):
                          (xua, uc_tri), (uc_ext, ua_ext), (ua_tri, xuc),
                          (xvb, vc_tri), (vc_ext, vb_ext), (vb_tri, xvc)):
                 _pair(moved, a, b)
-            out.append(LinkDiagram(d.n, moved, d.loops))
-            if triangles is not None:
-                # the new triangle's darts leave sa_ext, vb_ext, uc_ext
-                triangles.append((face, sa_ext))
+            # the new triangle's darts leave sa_ext, vb_ext, uc_ext
+            out.append((LinkDiagram(d.n, moved, d.loops), sa_ext))
             break
     return out
 

@@ -251,7 +251,8 @@ def jones(d) -> LaurentPoly:
 
 
 def determinant(d) -> int:
-    """Link determinant, the reduced Goeritz minor of the white faces.
+    """Link determinant, the reduced Goeritz minor of the white faces,
+    read off the symmetric reduction that also gives the signature.
 
     Independent of smoothing_determinants' adjugate, so certificate
     audits recompute with it."""
@@ -261,7 +262,7 @@ def determinant(d) -> int:
         g, _, _ = _goeritz(d, 0)
     except diag.DisconnectedDiagramError:
         return 0
-    return abs(_int_det(_minor(g, (0,))))
+    return abs(_sym_reduce(_minor(g, (0,)))[1])
 
 
 def smoothing_determinants(d):
@@ -302,7 +303,7 @@ def smoothing_determinants(d):
         if i == j:
             con = 0
         elif adj is None:
-            con = _int_det(_minor(g, (i, j)))
+            con = _sym_reduce(_minor(g, (i, j)))[1]
         else:
             ai, aj = adj[i], adj[j]
             con = ai[i] + aj[j] - ai[j] - aj[i]
@@ -392,33 +393,12 @@ def signature(d) -> int:
 
 def _signature_colored(d, color):
     g, etas, _ = _goeritz(d, color)
-    sig = _sym_signature(_minor(g, (0,)))
+    sig, _ = _sym_reduce(_minor(g, (0,)))
     # a crossing pierces the white surface coherently when its sign
     # agrees with its corner type
     mu = sum(eta for sign, eta in zip(diag.crossing_signs(d), etas)
              if sign == eta)
     return sig - mu
-
-
-def _int_det(m):
-    """Bareiss fraction-free elimination; every division is exact."""
-    m = [list(row) for row in m]
-    n = len(m)
-    sign, prev = 1, 1
-    for i in range(n):
-        if not m[i][i]:
-            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
-            if swap is None:
-                return 0
-            m[i], m[swap] = m[swap], m[i]
-            sign = -sign
-        p, top = m[i][i], m[i]
-        for r in range(i + 1, n):
-            low, f = m[r], m[r][i]
-            for cc in range(i + 1, n):
-                low[cc] = (low[cc] * p - f * top[cc]) // prev
-        prev = p
-    return sign * prev
 
 
 def _det_adj(m):
@@ -451,8 +431,9 @@ def _det_adj(m):
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def _sym_signature(m):
-    """Signature of a symmetric integer matrix, in integers.
+def _sym_reduce(m):
+    """(signature, determinant) of a symmetric integer matrix, in
+    integers.
 
     The pivots are those of Lagrange's reduction: the first nonzero
     diagonal entry, or, with the diagonal all zero, the first nonzero
@@ -461,7 +442,9 @@ def _sym_signature(m):
     is the determinant of their block; by Sylvester's identity every
     entry is then a minor of m, so each division is exact, as in
     Bareiss.  A diagonal pivot p counts sign(p / D) and becomes D; a
-    pair with entry b turns D into -b^2 / D.
+    pair with entry b turns D into -b^2 / D.  Once every row has been
+    a pivot, the last block is all of m, so D is det m; when the rest
+    of the matrix is zero before that, m is singular and det m is 0.
     """
     sig, den = 0, 1
     while m:
@@ -479,11 +462,11 @@ def _sym_signature(m):
         off = next(((i, j) for i in range(n) for j in range(i + 1, n)
                     if m[i][j]), None)
         if off is None:
-            break
+            return sig, 0
         i, j = off
         b = m[i][j]
         rest = [r for r in range(n) if r not in (i, j)]
         m = [[b * (m[r][i] * m[j][t] + m[r][j] * m[i][t] - b * m[r][t])
               // (den * den) for t in rest] for r in rest]
         den = -b * b // den
-    return sig
+    return sig, den

@@ -35,7 +35,7 @@ relabelled from the hop's own diagram by that map when the member is
 taken off the queue, so no code is decoded.  A member reached by a
 triangle slide leaves out the slide back through the triangle it was
 slid through: that slide's code is the previous member's, already
-seen, so it is never coded.
+seen, so it is neither built nor coded.
 
 One search codes each plug table once.  The same table comes back
 from other crossings of a member and from other members of an orbit,
@@ -113,17 +113,15 @@ def _hops(d, coder, back=None):
     relabel(diagram, labels) is the hop's canonical representative and
     back is the plug of that representative whose triangle slides back
     to d (None after a reduction).  coder(diagram, labels) is
-    canonical_code or the search's memo of it.  The slide through the
-    triangle of d with a dart leaving plug back is left out and never
-    coded: it returns to the member d was slid from.  simplify carries
-    on from the reduction already found instead of finding it again."""
-    triangles = []
-    moves = r3_moves(d, triangles)
-    for m, (tri, undo) in zip(moves, triangles):
-        if back not in tri:
-            labels = {}
-            code = coder(m, labels)
-            yield code, m, labels, labels[undo >> 2] ^ (undo & 3)
+    canonical_code or the search's memo of it.  r3_moves leaves out
+    the slide through the triangle of d with a dart leaving plug back,
+    which returns to the member d was slid from, so it is never built
+    or coded.  simplify carries on from the reduction already found
+    instead of finding it again."""
+    for m, undo in r3_moves(d, back):
+        labels = {}
+        code = coder(m, labels)
+        yield code, m, labels, labels[undo >> 2] ^ (undo & 3)
     reduced = reduce_once(d)
     if reduced is not None:
         m, labels = simplify(reduced), {}

@@ -267,7 +267,7 @@ class TestCanonicalCodeOracle:
 
     @staticmethod
     def derived(d):
-        out = [d, D.simplify(d)] + D.r3_moves(d)
+        out = [d, D.simplify(d)] + [m for m, _ in D.r3_moves(d)]
         for c in range(d.n):
             out += [D.smooth(d, c, kind) for kind in "AB"]
         return out
@@ -309,7 +309,8 @@ class TestR3AgainstEveryArc:
 
     def test_each_move_comes_once(self):
         for d in self.CORPUS:
-            moves, every = D.r3_moves(d), r3_moves_every_arc(d)
+            moves = [m for m, _ in D.r3_moves(d)]
+            every = r3_moves_every_arc(d)
             # the top and the bottom strand of a triangle slide alike
             assert len(every) == 2 * len(moves)
             assert ({D.canonical_code(m) for m in moves}
@@ -320,8 +321,13 @@ class TestR3AgainstEveryArc:
     def test_slides_are_involutive(self):
         for d in self.CORPUS:
             code = D.canonical_code(d)
-            for m in D.r3_moves(d):
-                assert code in {D.canonical_code(b) for b in D.r3_moves(m)}
+            for m, undo in D.r3_moves(d):
+                back = D.r3_moves(m)
+                assert code in {D.canonical_code(b) for b, _ in back}
+                # undo leaves out exactly the slide back to d
+                kept = {tuple(b.adj) for b, _ in D.r3_moves(m, undo)}
+                assert [D.canonical_code(b) for b, _ in back
+                        if tuple(b.adj) not in kept] == [code]
 
 
 class TestPlugTable:
@@ -335,7 +341,7 @@ class TestPlugTable:
         labels = {}
         code = D.canonical_code(d, labels)
         out = [d, D.mirror(d), D.relabel(d, labels), D.from_code(code)]
-        out += D.r3_moves(d)
+        out += [m for m, _ in D.r3_moves(d)]
         out += [D.smooth(d, c, kind) for c in range(d.n) for kind in "AB"]
         e = D.reduce_once(d)
         while e is not None:

@@ -297,6 +297,10 @@ def random_matrices(seed):
 
 
 class TestIntDet:
+    """Fraction-free determinants: the adjugate pass on any square
+    matrix, and the symmetric reduction on the symmetric matrices it
+    is given."""
+
     MATRICES = random_matrices(5)
 
     def test_corpus_has_singular_and_zero_pivot_cases(self):
@@ -305,13 +309,18 @@ class TestIntDet:
         assert sum(m[0][0] == 0 and leibniz_det(m) != 0 for m in big) >= 10
 
     def test_matches_leibniz(self):
-        for m in self.MATRICES:
-            assert I._int_det(m) == leibniz_det(m), m
+        symmetric = [m for m, _ in random_symmetric(23)]
+        # m + m^T of the square corpus, zero leading pivots kept
+        symmetric += [[[a + b for a, b in zip(row, col)]
+                       for row, col in zip(m, zip(*m))]
+                      for m in self.MATRICES]
+        for m in symmetric:
+            assert I._sym_reduce(m)[1] == leibniz_det(m), m
 
     def test_leaves_input_alone(self):
-        m = [[0, 2], [3, 1]]
-        assert I._int_det(m) == -6
-        assert m == [[0, 2], [3, 1]]
+        m = [[0, 2], [2, 1]]
+        assert I._sym_reduce(m) == (0, -4)
+        assert m == [[0, 2], [2, 1]]
 
     def test_adjugate_matches_cofactors(self):
         for m in self.MATRICES:
@@ -553,13 +562,13 @@ class TestSymSignature:
 
     def test_corpus_has_singular_and_zero_diagonal_cases(self):
         big = [m for m, _ in self.MATRICES if len(m) >= 2]
-        assert sum(I._int_det(m) == 0 for m in big) >= 20
+        assert sum(I._det_adj(m)[0] == 0 for m in big) >= 20
         assert sum(not any(m[i][i] for i in range(len(m))) and any(map(any, m))
                    for m in big) >= 20
 
     def test_random_symmetric(self):
         for m, sig in self.MATRICES:
-            got = I._sym_signature(m)
+            got, _ = I._sym_reduce(m)
             assert got == fraction_sym_signature(m), m
             if sig is not None:
                 assert got == sig, m
@@ -574,7 +583,9 @@ class TestSymSignature:
                 continue
             for color in (0, 1):
                 m = I._minor(I._goeritz(d, color)[0], (0,))
-                assert I._sym_signature(m) == fraction_sym_signature(m), m
+                sig, det = I._sym_reduce(m)
+                assert sig == fraction_sym_signature(m), m
+                assert det == I._det_adj(m)[0], m
                 checked += 1
         assert checked > 300
 

@@ -1,6 +1,7 @@
 """pyproject.toml names only files and modules that exist, every
 committed bench record claims a workload and metric of the benchmark,
-and the package's unreferenced public names can only shrink."""
+the package's unreferenced public names can only shrink, and no module
+of the package reads another module's private names."""
 
 import ast
 import importlib
@@ -89,3 +90,66 @@ def test_unreferenced_public_names_are_pinned():
                     and not any(name in ids for stmt, ids in uses
                                 if stmt is not home)}
     assert unreferenced == UNREFERENCED
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _owner(path):
+    """The qalinks module a dotted path lies in, or None."""
+    parts = (path or "").split(".")
+    if parts[0] != "qalinks":
+        return None
+    return parts[1] if len(parts) > 1 else "__init__"
+
+
+def foreign_private_names(source, here):
+    """Private names that module here of qalinks takes from another
+    qalinks module: imported from it, or read as an attribute of a name
+    bound to it or to one of its names.  Dunders are exempt."""
+    bound, found = {}, []  # local name -> the dotted path it stands for
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                head = a.name.partition(".")[0]
+                bound[a.asname or head] = a.name if a.asname else head
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "qalinks" + ("." + base if base else "")
+            for a in node.names:
+                bound[a.asname or a.name] = base + "." + a.name
+                owner = _owner(base)
+                if _private(a.name) and owner not in (None, here):
+                    found.append(a.name)
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            path = dotted(node.value)
+            return path and path + "." + node.attr
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            if _owner(dotted(node.value)) not in (None, here):
+                found.append(node.attr)
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Modules of src/qalinks share work through public names only."""
+    for path in sorted((ROOT / "src" / "qalinks").glob("*.py")):
+        assert foreign_private_names(path.read_text(), path.stem) == [], path.name
+    # the check sees each form of reading one
+    reads = ("from qalinks import diagram as diag\nx = diag._through\n"
+             "import qalinks.diagram\ny = qalinks.diagram._pair\n"
+             "from .diagram import _table, LinkDiagram\n"
+             "z = LinkDiagram._fields, LinkDiagram.__name__\n")
+    assert foreign_private_names(reads, "invariants") == [
+        "_table", "_through", "_pair", "_fields"]
+    assert foreign_private_names(reads, "diagram") == []

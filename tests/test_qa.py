@@ -128,6 +128,15 @@ def test_search_effort_is_pinned(sym):
     assert (out.status, out.nodes_visited) == SEARCH_PINS[sym]
 
 
+def test_dead_orbit_members_are_skipped():
+    # three members of this search's orbits were already settled dead
+    # by an earlier orbit; expanding them instead of skipping them
+    # reads 360 nodes
+    d = D.from_braid([-2, 1, 3, 2, 2, 1, 2, 2, 1, -3, 2, 1, 3, -1], 4)
+    out = qa_search(d)
+    assert (out.status, out.nodes_visited) == ("no-certificate", 357)
+
+
 def test_split_link_never_certifies():
     # determinant zero admits no additive split into positive parts
     out = run("2,2,-1")
@@ -204,7 +213,7 @@ def test_represented_corpus_has_pieces_and_loops():
 
 def test_representative_is_the_decoded_code():
     for d in REPRESENTED:
-        for e in [d] + D.r3_moves(d):
+        for e in [d] + [m for m, _ in D.r3_moves(d)]:
             labels = {}
             code = D.canonical_code(e, labels)
             rep, decoded = D.relabel(e, labels), D.from_code(code)
@@ -265,13 +274,13 @@ def test_skipped_slide_returns_to_the_previous_member():
                            for c in range(root.n) for kind in "AB"]
         for start in starts:
             for m, back, prev in orbit_walk(start):
-                triangles = []
-                moves = D.r3_moves(m, triangles)
-                assert [x.adj for x in moves] == [x.adj for x in D.r3_moves(m)]
+                every, kept = D.r3_moves(m), D.r3_moves(m, back)
+                tables = {tuple(x.adj) for x, _ in kept}
+                # the kept slides in order, undo plugs included
+                assert [h for h in every if tuple(h[0].adj) in tables] == kept
                 # a triangle is identified by a dart, so at most one
-                left_out = [D.canonical_code(x)
-                            for x, (tri, _) in zip(moves, triangles)
-                            if back in tri]
+                left_out = [D.canonical_code(x) for x, _ in every
+                            if tuple(x.adj) not in tables]
                 assert left_out in ([], [prev])
                 skipped += len(left_out)
                 coded = [h[0] for h in qa._hops(m, D.canonical_code, back)]
@@ -349,6 +358,17 @@ def test_verify_rejects_foreign_child_code():
     bad = QACertificate(cert.diagram_code, cert.det, cert.chosen_crossing,
                         cert.det_triple, (foreign, c1))
     assert not verify_certificate(bad)
+
+
+def test_verify_rejects_one_or_three_children():
+    # JSON of any length reads back; the audit answers False, it does
+    # not fail to unpack
+    data = certificate_to_dict(fresh_cert())
+    c0, c1 = data["children"]
+    for children in ([c0], [c0, c1, c1]):
+        bad = certificate_from_dict(dict(data, children=children))
+        assert len(bad.children) == len(children)
+        assert not verify_certificate(bad)
 
 
 def test_verify_rejects_illegal_via_hop():
