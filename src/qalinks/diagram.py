@@ -60,14 +60,14 @@ def fuse(arcs, pairs):
 
     pairs lists plugs to be fused two at a time; each listed plug
     disappears and its arc continues into its partner's arc. Returns
-    the new arc dict and the number of closed loops that formed.
-    The two plugs of a pair are distinct.
+    the new arc dict and a list holding one listed plug of each closed
+    loop that formed.  The two plugs of a pair are distinct.
 
     arcs is a dict, or a closed diagram's plug table read as it is:
     the table is an involution with no fixed point, so iterating it
     yields every plug once, as iterating a dict yields its keys.
     """
-    loops = 0
+    loops = []
     link = {}
     for a, b in pairs:
         link[a] = b
@@ -90,7 +90,7 @@ def fuse(arcs, pairs):
     for p in link:
         if p in seen:
             continue
-        loops += 1
+        loops.append(p)
         q = p
         while q not in seen:
             seen.add(q)
@@ -160,7 +160,7 @@ def add(a: Tangle, b: Tangle) -> Tangle:
     right = _tangle_arcs(b, range(a.n, a.n + b.n),
                          corners={"NW": "bNW", "SW": "bSW"})
     arcs, loops = fuse({**left, **right}, [("aNE", "bNW"), ("aSE", "bSW")])
-    return Tangle(a.n + b.n, arcs, a.loops + b.loops + loops)
+    return Tangle(a.n + b.n, arcs, a.loops + b.loops + len(loops))
 
 
 def transpose(t: Tangle) -> Tangle:
@@ -196,7 +196,7 @@ def _closed(n, arcs, loops, dead=()) -> LinkDiagram:
 
 def closure_numerator(t: Tangle) -> LinkDiagram:
     arcs, loops = fuse(t.arcs, [("NW", "NE"), ("SW", "SE")])
-    return _closed(t.n, arcs, t.loops + loops)
+    return _closed(t.n, arcs, t.loops + len(loops))
 
 
 def _expr_tangle(node) -> Tangle:
@@ -377,7 +377,7 @@ def _build_poly(node: Poly) -> LinkDiagram:
              for v, frame in enumerate(BASIS_FRAMES[node.basis])
              for k, (w, j) in enumerate(frame) if (v, k) < (w, j)]
     arcs, extra = fuse(arcs, pairs)
-    return _closed(total, arcs, loops + extra)
+    return _closed(total, arcs, loops + len(extra))
 
 
 # --- braids ----------------------------------------------------------
@@ -410,7 +410,7 @@ def from_braid(word, strands: int) -> LinkDiagram:
         _pair(arcs, ("bot", k), boundary[k])
     pairs = [(("top", k), ("bot", k)) for k in range(strands)]
     arcs, loops = fuse(arcs, pairs)
-    return _closed(n, arcs, loops)
+    return _closed(n, arcs, len(loops))
 
 
 # --- diagram operations ----------------------------------------------
@@ -471,6 +471,23 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 
 def is_alternating(d: LinkDiagram) -> bool:
     return all((a + b) % 2 == 1 for a, b in enumerate(d.adj))
+
+
+def scan_order(d: LinkDiagram):
+    """Crossings in the order a planar scan adds them: greedily the one
+    with the most arcs to placed crossings, ties to the lowest index,
+    from crossing 0, so the open ends stay few."""
+    order, touch = [], [0] * d.n  # arcs to placed crossings, -1 if placed
+    for _ in range(d.n):
+        c = max((e for e in range(d.n) if touch[e] >= 0),
+                key=lambda e: (touch[e], -e))
+        order.append(c)
+        touch[c] = -1
+        for q in range(4 * c, 4 * c + 4):
+            e = d.adj[q] // 4
+            if touch[e] >= 0:
+                touch[e] += 1
+    return order
 
 
 def state_circles(d: LinkDiagram, state: int):
@@ -535,7 +552,7 @@ def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
     else:
         raise ValueError(kind)
     arcs, loops = fuse(d.adj, pairs)
-    return _closed(d.n, arcs, d.loops + loops, {c})
+    return _closed(d.n, arcs, d.loops + len(loops), {c})
 
 
 def _find_kink(d: LinkDiagram):
@@ -582,7 +599,7 @@ def reduce_once(d: LinkDiagram):
         # both strands pass straight through both crossings
         pairs = [(p, _through(p)) for p in (a, b, a2, b2)]
         arcs, loops = fuse(d.adj, pairs)
-        return _closed(d.n, arcs, d.loops + loops, {a // 4, b // 4})
+        return _closed(d.n, arcs, d.loops + len(loops), {a // 4, b // 4})
     return None
 
 
@@ -704,7 +721,7 @@ def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
     frame = _FRAME[sign]
     arcs, loops = fuse(arcs, [(corner, 4 * c + s)
                               for corner, s in frame.items()])
-    return _closed(d.n + t.n, arcs, d.loops + t.loops + loops, {c})
+    return _closed(d.n + t.n, arcs, d.loops + t.loops + len(loops), {c})
 
 
 # --- faces and codes -------------------------------------------------

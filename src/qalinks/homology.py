@@ -1,27 +1,33 @@
-"""Khovanov homology over F2 from the marked-circle subcomplex.
+"""Khovanov homology over F2: D. Bar-Natan's local scan from SCAN_FROM
+crossings up, the marked-circle subcomplex of the cube below that.
 
 The zero smoothing of every crossing is the A smoothing (plugs (0,1)
 and (2,3) joined), the one smoothing is B, matching the bracket
 conventions in the invariants module.  A state with r one-smoothings
 sits in homological degree i = r - n_minus; a labeling of its circles
 with deg = (#unit - #x) sits in quantum degree j = deg + r + n_plus
-- 2*n_minus.  Crossing signs come from the same traversal orientation
+- 2*n_minus.  Both paths count ranks at (r, deg + r) and shift them
+once at the end, by crossing signs from the same traversal orientation
 the writhe uses, so the graded Euler characteristic lands exactly on
 (q + 1/q) times the Jones polynomial as stored next door.
 
-Only the generators whose marked circle is labelled x are built.  The
-marked circle is circle 0 of every state: the circle through plug 0
-when there are crossings (state_circles orders circles by their
-smallest plug), else the first free loop.  These generators span a
-subcomplex, because no edge takes the x off the marked circle: a merge
-sends x⊗1 to x and x⊗x to 0, a split sends x to x⊗x, and the circle
-the edge makes from the marked one is again the marked circle.
-Over F2 unreduced Khovanov homology is this reduced homology tensored
-with F2[x]/x^2 (A. Shumakovitch, Torsion of the Khovanov homology,
-arXiv:math/0405474, Cor. 3.2.C): the quotient, with the marked circle
-at 1, is the same complex two quantum degrees up.  So each reduced
-rank at (i, j) is counted at j and again at j + 2.  The empty diagram
-has no circle to mark; its table {(0, 0): 1} is returned as is.
+Both paths compute reduced homology, x killed on a marked circle, and
+tensor it with V = F2[x]/x^2 for that circle: over F2 unreduced
+Khovanov homology is the reduced one tensored with V (A. Shumakovitch,
+Torsion of the Khovanov homology, arXiv:math/0405474, Cor. 3.2.C).
+The empty diagram has no circle to mark; its table {(0, 0): 1} is
+returned as is.
+
+The cube.  Only the generators whose marked circle is labelled x are
+built.  The marked circle is circle 0 of every state: the circle
+through plug 0 when there are crossings (state_circles orders circles
+by their smallest plug), else the first free loop.  These generators
+span a subcomplex, because no edge takes the x off the marked circle:
+a merge sends x⊗1 to x and x⊗x to 0, a split sends x to x⊗x, and the
+circle the edge makes from the marked one is again the marked circle.
+The quotient, with the marked circle at 1, is the same complex two
+quantum degrees up, so each reduced rank at (i, j) is counted at j
+and again at j + 2.
 
 Each state's circles are kept as a byte string of plug -> circle
 labels; free loops take the last d.loops labels.  The A smoothing joins
@@ -43,7 +49,7 @@ source state's circle count and the touched indices alone, so the
 images of each such key are tabulated once per call and read by every
 edge with that key.
 
-The complex is built one level at a time.  The differential preserves
+The cube is built one level at a time.  The differential preserves
 j and raises the state weight r by one, so the states are grouped by
 r, and level r needs the column numbers of levels r and r + 1 only.
 Its rows, python-int bitmasks over the columns of level r + 1, are
@@ -52,12 +58,49 @@ composed with the level before them by d_squared_zero, and dropped
 before the next level is built: about two levels are held at once,
 not the whole complex.
 
-The size caps are the module constants CROSSING_CAP and DIM_CAP, read
-at call time; a diagram over either raises SizeLimitError before any
-level is built.  DIM_CAP bounds the unreduced dimension, the sum of 2^k
-over the states with k circles, which is twice what is built: the caps
-refuse a diagram by the size of its homology's full cube, whichever
-complex computes it.
+The scan (D. Bar-Natan, Fast Khovanov homology computations,
+arXiv:math/0606318), over F2.  The crossings are added in
+diagram.scan_order to a complex of crossingless matchings of the open
+ends, each at a homological degree h and a q shift.  The arc
+(0, adj[0]) is cut: both its ends stay open to the last crossing and
+are marked, and a dot on any component touching them is 0, which gives
+reduced homology.  A morphism M -> N is an F2 sum of dot patterns on
+the cycles of M ∪ N, one disk per cycle with at most one dot, held as
+an int with bit P set for pattern P.  Any glued surface reduces to
+such sums by its components, over F2 with dot^2 = 0: a handle is 0; a
+sphere is 1 with exactly one dot, else 0; an undotted genus-0 piece
+with b boundary cycles becomes its b terms with all cycles but one
+dotted; a once-dotted piece becomes the term with all its cycles
+dotted.
+
+Adding crossing c puts each object in c's A smoothing at (h, q) and in
+its B smoothing at (h + 1, q + 1), joined by the saddle, and each
+entry in either smoothing beside the identity of its arcs;
+diagram.fuse glues the arcs and reports a plug on every loop that
+closes.  Each closed loop is delooped into a copy at q + 1, reached by
+an undotted cup and left by a dotted cap, and a copy at q - 1, reached
+by a dotted cup and left by an undotted cap.  Then every identity
+entry a -> b (the same matching and q) is eliminated: over F2 each
+entry s -> t gains the composite of s -> b and a -> t, and a and b go.
+Once every crossing is placed only the cut arc is left, and an entry
+between two of its copies could only be an identity, so none is left:
+each object at (h, q) is one reduced generator, counted at q - 1 and
+q + 1 for the marked circle and once more so for each free loop.
+
+The scan's work grows with the matchings of the open ends rather than
+with 2^n, but each object costs far more than a cube labeling, so
+below SCAN_FROM crossings the cube is faster, as measured against it;
+khovanov_f2 reads SCAN_FROM and the caps from d.n at call time.
+
+The size caps are the module constants CROSSING_CAP and DIM_CAP; a
+diagram over either raises SizeLimitError before the complex is
+built, and before crossing_signs is called.  DIM_CAP bounds the
+unreduced dimension, the sum of 2^k over the states with k circles,
+on both paths: the cube sums it over its labelled states, the scan
+from a count per matching of the states reaching it, each weighed by
+2^(loops closed), as the bracket's scan counts them.  The caps refuse
+a diagram by the size of its homology's full cube, whichever complex
+computes it.
 """
 
 from __future__ import annotations
@@ -65,20 +108,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qalinks.diagram import (
-    LinkDiagram, circle_labels, crossing_signs, state_circle,
+    LinkDiagram, circle_labels, crossing_signs, fuse, scan_order,
+    state_circle,
 )
 from qalinks.invariants import SizeLimitError
 
 CROSSING_CAP = 12
 DIM_CAP = 1 << 22
+SCAN_FROM = 9
 
 
-def _n_minus(d: LinkDiagram) -> int:
-    """Negative crossings, after the crossing cap check."""
+def khovanov_f2(d: LinkDiagram) -> dict:
+    """Ranks of F2 Khovanov homology as a map (i, j) -> dimension."""
+    if not d.n and not d.loops:  # the empty link: no circle to mark
+        return {(0, 0): 1}
+    _check_crossings(d)
+    return (_scan if d.n >= SCAN_FROM else _cube)(d)
+
+
+def _check_crossings(d: LinkDiagram):
     if d.n > CROSSING_CAP:
         raise SizeLimitError("%d crossings exceed the cap %d"
                              % (d.n, CROSSING_CAP))
-    return crossing_signs(d).count(-1)
+
+
+def _check_dimension(total: int):
+    if total > DIM_CAP:
+        raise SizeLimitError("chain dimension %d exceeds the cap %d"
+                             % (total, DIM_CAP))
+
+
+# One copy of each (i, j) key ever returned, so that rank tables kept
+# side by side, as the rows of a table keep them, share their keys; it
+# holds equal immutable tuples only, so no result depends on it.
+_KEYS = {}
+
+
+def _graded(d: LinkDiagram, counts: dict) -> dict:
+    """Ranks counted at (r, j) shifted to (r - n_minus, j + n_plus -
+    2 n_minus), zeros dropped, keys sorted."""
+    n_minus = crossing_signs(d).count(-1)
+    shift = d.n - 3 * n_minus
+    ranks = {}
+    for (r, j), h in sorted(counts.items()):
+        if h:
+            key = (r - n_minus, j + shift)
+            ranks[_KEYS.setdefault(key, key)] = h
+    return ranks
 
 
 def _labels(d: LinkDiagram):
@@ -152,9 +228,10 @@ def _split_images(k, a, w):
             for y in (x & lo | x >> w << w + 1,)]
 
 
-def _levels(d: LinkDiagram, n_minus: int):
+def _levels(d: LinkDiagram):
     """Yield (r, dims, rows) for r = 0..n, the marked subcomplex at state
-    weight r: dims maps j to the column count of block (r, j), and
+    weight r, in quantum degrees before the global shift: dims maps j to
+    the column count of block (r, j), and
     rows[j] holds its differential rows, bitmasks over the columns of
     block (r + 1, j).  A labeling x has bit 0 set, and its column is
     numbered by x >> 1.  Only levels r and r + 1 are numbered at once.
@@ -171,12 +248,8 @@ def _levels(d: LinkDiagram, n_minus: int):
     tabulated once per call by _merge_images or _split_images, and an
     edge reads its table and the target state's column numbers."""
     n = d.n
-    shift = n - 3 * n_minus  # n_plus - 2 n_minus
     lab, ks = _labels(d)
-    total = sum(1 << k for k in ks)
-    if total > DIM_CAP:
-        raise SizeLimitError("chain dimension %d exceeds the cap %d"
-                             % (total, DIM_CAP))
+    _check_dimension(sum(1 << k for k in ks))
     weight = [[] for _ in range(n + 2)]
     for mask in range(1 << n):
         weight[mask.bit_count()].append(mask)
@@ -184,7 +257,7 @@ def _levels(d: LinkDiagram, n_minus: int):
     def number(r):
         dims, col = {}, {}
         for mask in weight[r]:
-            base = r + shift + ks[mask]
+            base = r + ks[mask]
             here = col[mask] = []
             for x in range(1, 1 << ks[mask], 2):
                 j = base - 2 * x.bit_count()
@@ -223,7 +296,7 @@ def _levels(d: LinkDiagram, n_minus: int):
                         t = splits[key] = _split_images(*key)
                     img = [i ^ 1 << ct[u] ^ (0 if v < 0 else 1 << ct[v])
                            for i, (u, v) in zip(img, t)]
-            base = r + shift + k - 2
+            base = r + k - 2
             for h, idx in enumerate(col[mask]):
                 rows[base - 2 * h.bit_count()][idx] = img[h]
         yield r, dims, rows
@@ -245,29 +318,330 @@ def _rank(rows) -> int:
     return rank
 
 
-def khovanov_f2(d: LinkDiagram) -> dict:
-    """Ranks of F2 Khovanov homology as a map (i, j) -> dimension."""
-    if not d.n and not d.loops:  # the empty link: no circle to mark
-        return {(0, 0): 1}
-    n_minus = _n_minus(d)
-    ranks, below = {}, {}
-    for r, dims, rows in _levels(d, n_minus):
-        i = r - n_minus
+def _cube(d: LinkDiagram) -> dict:
+    """khovanov_f2 on the marked-circle subcomplex of the cube."""
+    counts, below = {}, {}
+    for r, dims, rows in _levels(d):
         # each block is dropped once ranked, before the next level
         rank_d = {j: _rank(rows.pop(j)) for j in dims}
         for j, dim in dims.items():
             h = dim - rank_d[j] - below.get(j, 0)
-            for key in (i, j), (i, j + 2):
-                ranks[key] = ranks.get(key, 0) + h
+            for key in (r, j), (r, j + 2):
+                counts[key] = counts.get(key, 0) + h
         below = rank_d
-    return {key: h for key, h in sorted(ranks.items()) if h}
+    return _graded(d, counts)
+
+
+def _cycles(m, n, ends, marks):
+    """The cycles of the matchings m ∪ n of ends: (plug -> cycle,
+    cycle count, mask of the cycles through marks, each cycle's
+    smallest plug), cycles numbered from their smallest plugs."""
+    lab, starts = {}, []
+    for p in ends:
+        if p in lab:
+            continue
+        k = len(starts)
+        starts.append(p)
+        q = p
+        while True:
+            lab[q] = k
+            q = m[q]
+            lab[q] = k
+            q = n[q]
+            if q == p:
+                break
+    mask = 0
+    for p in marks:
+        mask |= 1 << lab[p]
+    return lab, len(starts), mask, starts
+
+
+def _surface(nodes, glued, cycle_nodes, marked):
+    """A surface made of disks 0..nodes-1 glued as glued lists them,
+    (u, v, 1) along an interval and (u, v, 0) along a circle, whose
+    boundary cycle i meets disk cycle_nodes[i]; no dot may sit on the
+    marked cycles.  Returns its components as (disk mask, terms with
+    no dot, terms with one dot), each term a mask of dotted cycles, or
+    None when a handle makes it 0."""
+    parent, chi = list(range(nodes)), [1] * nodes
+    for u, v, w in glued:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            chi[v] += chi[u]
+        chi[v] -= w
+    disks = {}
+    for x in range(nodes):
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        disks[r] = disks.get(r, 0) | 1 << x
+    cycles = dict.fromkeys(disks, 0)
+    for i, x in enumerate(cycle_nodes):
+        while parent[x] != x:
+            x = parent[x]
+        cycles[x] |= 1 << i
+    out = []
+    for r, cyc in cycles.items():
+        if chi[r] + cyc.bit_count() != 2:  # a handle
+            return None
+        mark = cyc & marked
+        if not cyc:  # a sphere: 1 with one dot
+            none = ()
+        elif not mark:
+            none = [cyc & ~(1 << i) for i in range(cyc.bit_length())
+                    if cyc >> i & 1] if cyc & cyc - 1 else (0,)
+        else:  # one marked cycle is left undotted, two cannot be
+            none = () if mark & mark - 1 else (cyc & ~mark,)
+        out.append((disks[r], none, () if mark else (cyc,)))
+    return out
+
+
+def _reduce(comps, dots):
+    """The morphism of a _surface with a dot on each disk in dots: the
+    F2 sum of its terms, an int with bit P set for dot pattern P."""
+    terms = [0]
+    for disks, none, one in comps:
+        k = (dots & disks).bit_count()
+        opts = none if k == 0 else one if k == 1 else None
+        if not opts:
+            return 0
+        if opts[0]:
+            terms = [t | o for t in terms for o in opts]
+    out = 0
+    for t in terms:
+        out |= 1 << t
+    return out
+
+
+def _patterns(f):
+    """The dot patterns of a morphism."""
+    while f:
+        low = f & -f
+        yield low.bit_length() - 1
+        f ^= low
+
+
+def _cycle_table(mats, ends, marks):
+    """_cycles of the pairs of matchings of one step, each found once."""
+    memo = {}
+
+    def cycles(a, b):
+        got = memo.get((a, b))
+        if got is None:
+            got = memo[a, b] = _cycles(mats[a], mats[b], ends, marks)
+        return got
+    return cycles
+
+
+def _complexes(d: LinkDiagram):
+    """Yield the scan's complex after each crossing: (objects, out,
+    compose).  objects maps an id to ((matching, q), h); out[a][b] is
+    the entry a -> b; compose(s, b, t, f, g) is the morphism f: s -> b
+    followed by g: a -> t, for an object a with b's matching."""
+    adj = d.adj
+    cut = (0, adj[0]) if d.n else ()
+    # first every step's matchings: per matching, the matching and the
+    # loops that each smoothing glues it into, and the states reaching
+    # it, each weighed 2^loops, for the cap
+    placed, ends, mats, weights, steps = set(), [], [{}], [1], []
+    for c in scan_order(d):
+        placed.add(c)
+        plugs = range(4 * c, 4 * c + 4)
+        # arcs to placed crossings, c's own kinks once, never the cut arc
+        pairs = [(q, adj[q]) for q in plugs if adj[q] >> 2 in placed
+                 and (adj[q] >> 2 != c or q < adj[q]) and q and adj[q]]
+        ends = sorted({*ends, *plugs} - {p for pair in pairs for p in pair})
+        p0, p1, p2, p3 = plugs
+        smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
+                      {p0: p3, p3: p0, p1: p2, p2: p1})   # B
+        ids, new_mats, new_weights, moves = {}, [], [], []
+        for m, w in zip(mats, weights):
+            row = []
+            for s in smoothings:
+                arcs, loops = fuse({**m, **s}, pairs)
+                j = ids.setdefault(tuple(arcs[p] for p in ends),
+                                   len(new_mats))
+                if j == len(new_mats):
+                    new_mats.append(arcs)
+                    new_weights.append(0)
+                new_weights[j] += w << len(loops)
+                row.append((j, loops))
+            moves.append(row)
+        mats, weights = new_mats, new_weights
+        steps.append((c, pairs, moves, mats,
+                      _cycle_table(mats, ends, [p for p in cut if p in ends])))
+    _check_dimension(sum(weights) << d.loops + (d.n > 0))
+
+    objects, out = {0: ((0, 0), 0)}, {0: {}}
+    cycles = _cycle_table([{}], [], [])
+    for c, pairs, moves, mats, new_cycles in steps:
+        old_cycles, cycles = cycles, new_cycles
+        # the crossing's disks: a strip per arc of either smoothing, or
+        # the saddle between them
+        strips = ({4 * c: 0, 4 * c + 1: 0, 4 * c + 2: 1, 4 * c + 3: 1},
+                  {4 * c: 0, 4 * c + 3: 0, 4 * c + 1: 1, 4 * c + 2: 1})
+        saddle = dict.fromkeys(range(4 * c, 4 * c + 4), 0)
+
+        def glue(a, b, sa, sb, fs):
+            """The entries that f: a -> b of the old complex, with a in
+            smoothing sa and b in sb, gives between their delooped
+            copies, for f the sum of the patterns fs: (label of a's
+            loops, label of b's loops, morphism), a label's bit set
+            where its loop sits at q - 1."""
+            lab, k, _, _ = old_cycles(a, b)
+            ja, la = moves[a][sa]
+            jb, lb = moves[b][sb]
+            _, _, marked, starts = cycles(ja, jb)
+            # disks: the crossing's, the old cycles', a cap on each loop
+            part, size = (strips[sa], 2) if sa == sb else (saddle, 1)
+            caps = size + k
+            glued = [(part[q], part[r] if r >> 2 == c else size + lab[r], 1)
+                     for q, r in pairs]
+            glued += [(caps + i, part[p] if p >> 2 == c else size + lab[p], 0)
+                      for i, p in enumerate(la + lb)]
+            comps = _surface(
+                caps + len(la) + len(lb), glued,
+                [part[p] if p >> 2 == c else size + lab[p] for p in starts],
+                marked)
+            got = []
+            if comps is None:
+                return got
+            # a cup on a's loop is dotted at q - 1, a cap on b's at q + 1
+            na, top = len(la), (1 << len(lb)) - 1
+            for u in range(1 << na):
+                for v in range(top + 1):
+                    dots = (u | (top ^ v) << na) << caps
+                    m = 0
+                    for pat in fs:
+                        m ^= _reduce(comps, pat << size | dots)
+                    if m:
+                        got.append((u, v, m))
+            return got
+
+        def add(x, y, m):
+            """Add m to the entry x -> y; a new entry between copies of
+            one matching at one q is an identity, queued to go."""
+            row = out[x]
+            old = row.get(y)
+            if old is None:
+                row[y] = m
+                into[y].add(x)
+                if objects[x][0] == objects[y][0]:
+                    work.append((x, y))
+            elif old != m:
+                row[y] = old ^ m
+            else:
+                del row[y]
+                into[y].discard(x)
+
+        new_objects, base = {}, {}
+        for o, ((a, q), h) in objects.items():
+            here = base[o] = []
+            for s, (j, loops) in enumerate(moves[a]):
+                k = len(loops)
+                here.append(len(new_objects))
+                for u in range(1 << k):
+                    new_objects[len(new_objects)] = (
+                        (j, q + s + k - 2 * u.bit_count()), h + s)
+        old_objects, old_out, objects = objects, out, new_objects
+        out = {x: {} for x in objects}
+        into, work, saddles, tensors = {x: set() for x in objects}, [], {}, {}
+        for o, ((a, _), _) in old_objects.items():
+            x0, x1 = base[o]
+            got = saddles.get(a)
+            if got is None:
+                got = saddles[a] = glue(a, a, 0, 1, (0,))
+            for u, v, m in got:
+                add(x0 + u, x1 + v, m)
+            for t, f in old_out[o].items():
+                b = old_objects[t][0][0]
+                got = tensors.get((a, b, f))
+                if got is None:
+                    fs = tuple(_patterns(f))
+                    got = tensors[a, b, f] = (glue(a, b, 0, 0, fs),
+                                              glue(a, b, 1, 1, fs))
+                for x, y, got in zip(base[o], base[t], got):
+                    for u, v, m in got:
+                        add(x + u, y + v, m)
+        composed = {}
+
+        def compose(s, b, t, f, g):
+            ms, mb, mt = objects[s][0][0], objects[b][0][0], objects[t][0][0]
+            key = (ms, mb, mt, f, g)
+            got = composed.get(key)
+            if got is not None:
+                return got
+            shape = composed.get(key[:3])
+            if shape is None:
+                lx, kx, _, _ = cycles(ms, mb)
+                ly, ky, _, _ = cycles(mb, mt)
+                middle = mats[mb]
+                glued = [(lx[p], kx + ly[p], 1) for p in middle
+                         if p < middle[p]]
+                _, _, marked, starts = cycles(ms, mt)
+                shape = composed[key[:3]] = (_surface(
+                    kx + ky, glued, [lx[p] for p in starts], marked), kx)
+            comps, kx = shape
+            got = 0
+            if comps is not None:
+                for x in _patterns(f):
+                    for y in _patterns(g):
+                        got ^= _reduce(comps, x | y << kx)
+            composed[key] = got
+            return got
+
+        # Gaussian elimination of every identity entry a -> b
+        for a, b in work:
+            if b not in out.get(a, ()):
+                continue
+            sources = [(s, out[s][b]) for s in into[b] if s != a]
+            targets = [(t, g) for t, g in out[a].items() if t != b]
+            for s, f in sources:
+                for t, g in targets:
+                    m = compose(s, b, t, f, g)
+                    if m:
+                        add(s, t, m)
+            for x in a, b:
+                for t in out.pop(x):
+                    into[t].discard(x)
+                for s in into.pop(x):
+                    del out[s][x]
+                del objects[x]
+        yield objects, out, compose
+
+
+def _scan(d: LinkDiagram) -> dict:
+    """khovanov_f2 by the local scan."""
+    objects = {0: ((0, 0), 0)}
+    for objects, out, _ in _complexes(d):
+        pass
+    counts = {}
+    for (_, q), h in objects.values():
+        counts[h, q] = counts.get((h, q), 0) + 1
+    # V = F2[x]/x^2 for the marked circle and each free loop
+    for _ in range(d.loops + (d.n > 0)):
+        shifted = {}
+        for (h, q), r in counts.items():
+            for key in (h, q - 1), (h, q + 1):
+                shifted[key] = shifted.get(key, 0) + r
+        counts = shifted
+    return _graded(d, counts)
 
 
 def d_squared_zero(d: LinkDiagram) -> bool:
-    """Check d∘d = 0, block by block, on the complex khovanov_f2
-    builds: the marked-circle subcomplex, not the full cube."""
+    """Check d∘d = 0 on the complex khovanov_f2 builds: block by block
+    on the cube's marked-circle subcomplex, or on the scan's complex
+    after every crossing."""
+    _check_crossings(d)
+    if d.n >= SCAN_FROM:
+        return all(_squares_to_zero(out, compose)
+                   for _, out, compose in _complexes(d))
     below = {}
-    for _, _, rows in _levels(d, _n_minus(d)):
+    for _, _, rows in _levels(d):
         for j, rws in below.items():
             nxt = rows.get(j)
             if nxt is None:
@@ -281,6 +655,17 @@ def d_squared_zero(d: LinkDiagram) -> bool:
                 if acc:
                     return False
         below = rows
+    return True
+
+
+def _squares_to_zero(out, compose) -> bool:
+    for s, row in out.items():
+        acc = {}
+        for b, f in row.items():
+            for t, g in out[b].items():
+                acc[t] = acc.get(t, 0) ^ compose(s, b, t, f, g)
+        if any(acc.values()):
+            return False
     return True
 
 

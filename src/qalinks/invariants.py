@@ -3,13 +3,12 @@
 The bracket is the Kauffman state sum evaluated by a planar scan, a
 transfer matrix in the manner of D. Bar-Natan's Fast Khovanov homology
 computations (arXiv:math/0606318).  Crossings are added one at a time,
-each next the one with the most arcs to crossings already placed (ties
-to the lowest index, starting from crossing 0), so the open ends stay
-few.  The placed part of every state is a planar matching of its open
-ends plus a number of closed loops; the scan keeps, per matching, how
-many states reach it with b B-smoothings and l loops.  A crossing's A
-and B smoothings are glued onto each matching with diagram.fuse, which
-also counts the loops that close.  Once every crossing is placed the
+in diagram.scan_order, so the open ends stay few.  The placed part of
+every state is a planar matching of its open ends plus a number of
+closed loops; the scan keeps, per matching, how many states reach it
+with b B-smoothings and l loops.  A crossing's A and B smoothings are
+glued onto each matching with diagram.fuse, which also reports the
+loops that close.  Once every crossing is placed the
 only matching left is the empty one, and its counts are the state sum.
 The work grows with the number of matchings, not with 2^n, so there
 is no crossing cap; tests/oracles.py keeps the 2^n state sum.
@@ -181,22 +180,6 @@ def _delta_power(k, cache={}):
     return cache[k]
 
 
-def _scan_order(d):
-    """Crossings in scan order: greedily the one with the most arcs to
-    placed crossings, ties to the lowest index, from crossing 0."""
-    order, touch = [], [0] * d.n  # arcs to placed crossings, -1 if placed
-    for _ in range(d.n):
-        c = max((e for e in range(d.n) if touch[e] >= 0),
-                key=lambda e: (touch[e], -e))
-        order.append(c)
-        touch[c] = -1
-        for q in range(4 * c, 4 * c + 4):
-            e = d.adj[q] // 4
-            if touch[e] >= 0:
-                touch[e] += 1
-    return order
-
-
 def bracket(d) -> LaurentPoly:
     """Kauffman bracket, normalized to 1 on a single circle."""
     if d.n == 0 and d.loops == 0:
@@ -205,7 +188,7 @@ def bracket(d) -> LaurentPoly:
     adj, placed = d.adj, set()
     # open-end matching -> {(B smoothings, closed loops): states}
     layer = {(): {(0, 0): 1}}
-    for c in _scan_order(d):
+    for c in diag.scan_order(d):
         placed.add(c)
         # arcs from c to placed crossings, c's own kinks once each
         pairs = [(q, adj[q]) for q in range(4 * c, 4 * c + 4)
@@ -219,7 +202,7 @@ def bracket(d) -> LaurentPoly:
                 arcs, loops = diag.fuse({**dict(ends), **smoothing}, pairs)
                 here = nxt.setdefault(tuple(sorted(arcs.items())), {})
                 for (bs, ls), v in counts.items():
-                    key = (bs + b, ls + loops)
+                    key = (bs + b, ls + len(loops))
                     here[key] = here.get(key, 0) + v
         layer = nxt
     # every arc is closed: one matching is left, the empty one; A

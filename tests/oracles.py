@@ -37,7 +37,8 @@ crossings one at a time instead.
 cube_khovanov_f2 builds the whole unreduced 2^n cube of resolutions
 over F2, both labels on every circle, from union_find_circles and the
 public crossing_signs alone; the package builds only the marked-circle
-subcomplex and doubles its ranks.
+subcomplex and doubles its ranks, or scans the crossings one at a
+time.
 
 checkerboard colors the faces of dart_faces by a search over their
 dart adjacency, and checkerboard_goeritz builds the Goeritz
@@ -547,7 +548,7 @@ def copying_smooth(d, c, kind):
     slots = {"A": [(0, 1), (2, 3)], "B": [(0, 3), (1, 2)]}[kind]
     pairs = [(4 * c + s, 4 * c + t) for s, t in slots]
     arcs, loops = fuse(dict(enumerate(d.adj)), pairs)
-    return _closed(d.n, arcs, d.loops + loops, {c})
+    return _closed(d.n, arcs, d.loops + len(loops), {c})
 
 
 def copying_reduce_once(d):
@@ -567,5 +568,5 @@ def copying_reduce_once(d):
             del arcs[p]
         pairs = [(_through(a), _through(b)), (_through(a2), _through(b2))]
         arcs, loops = fuse(arcs, pairs)
-        return _closed(d.n, arcs, d.loops + loops, {a // 4, b // 4})
+        return _closed(d.n, arcs, d.loops + len(loops), {a // 4, b // 4})
     return None

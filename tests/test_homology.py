@@ -9,6 +9,7 @@ against an independent pipeline.
 """
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -115,7 +116,9 @@ class TestOracles:
 
 
 class TestReducedAgainstCube:
-    """The doubled marked-circle ranks equal the full cube's exactly."""
+    """The doubled marked-circle ranks equal the full cube's exactly,
+    on either path: the cube and the local scan, called directly, and
+    khovanov_f2, which picks one by SCAN_FROM."""
 
     # two split trefoil pieces, and a trefoil beside two free loops
     NAMED = [D.from_braid([1, 1, 1, 3, 3, 3], 4), D.from_braid([2, 2, 2], 4)]
@@ -129,6 +132,13 @@ class TestReducedAgainstCube:
             out += [D.smooth(d, c, kind) for kind in "AB"]
         return out
 
+    @staticmethod
+    def check(d):
+        want = cube_khovanov_f2(d)
+        assert H.khovanov_f2(d) == want
+        assert H._cube(d) == want
+        assert H._scan(d) == want
+
     def test_corpus_has_links_loops_and_split_pieces(self):
         assert any(D.components(d) > 1 and not d.loops for d in self.CLOSURES)
         assert any(d.loops for d in self.CLOSURES)
@@ -136,24 +146,100 @@ class TestReducedAgainstCube:
 
     @pytest.mark.parametrize("sym", BATTERY)
     def test_battery(self, sym):
-        d = D.build(sym)
-        assert H.khovanov_f2(d) == cube_khovanov_f2(d)
+        self.check(D.build(sym))
 
     @pytest.mark.parametrize("code", ["|1", "|2", "|3"])
     def test_free_loops(self, code):
-        d = D.from_code(code)
-        assert H.khovanov_f2(d) == cube_khovanov_f2(d)
+        self.check(D.from_code(code))
 
     def test_closures_simplified_and_smoothed(self):
         rng = random.Random(17)
         for d in self.CLOSURES:
             for e in self.derived(d, rng):
-                assert H.khovanov_f2(e) == cube_khovanov_f2(e)
+                self.check(e)
 
     @pytest.mark.parametrize(
         "sym", [s for s in BATTERY if D.build(s).n <= 9])
     def test_cube_differential_squares_to_zero(self, sym):
         assert cube_d_squared_zero(D.build(sym))
+
+
+class TestSurfaceRules:
+    """The F2 rules, dot^2 = 0, that reduce a glued surface to dot
+    patterns on its boundary cycles, one surface per rule: _reduce
+    gives an int with bit P set for each term P."""
+
+    # three disks joined in a row by two intervals each: a sphere with
+    # three holes, one boundary cycle per disk
+    PANTS = (3, [(0, 1, 1), (0, 1, 1), (1, 2, 1), (1, 2, 1)], [0, 1, 2])
+
+    def test_a_handle_is_zero(self):
+        # two disks joined along three intervals, one boundary cycle
+        assert H._surface(2, [(0, 1, 1)] * 3, [0], 0) is None
+
+    def test_a_sphere_is_one_with_exactly_one_dot(self):
+        # a disk capped along its boundary circle
+        comps = H._surface(2, [(0, 1, 0)], [], 0)
+        assert [H._reduce(comps, dots) for dots in (0, 1, 2, 3)] == [
+            0, 1, 1, 0]
+
+    def test_genus_zero_pieces(self):
+        comps = H._surface(*self.PANTS, 0)
+        # undotted: every term with all cycles but one dotted
+        assert H._reduce(comps, 0) == 1 << 0b110 | 1 << 0b101 | 1 << 0b011
+        # once dotted: all its cycles dotted; twice: 0
+        assert H._reduce(comps, 0b010) == 1 << 0b111
+        assert H._reduce(comps, 0b011) == 0
+
+    def test_no_dot_on_a_marked_cycle(self):
+        comps = H._surface(*self.PANTS, 0b001)
+        assert H._reduce(comps, 0) == 1 << 0b110
+        assert H._reduce(comps, 0b100) == 0
+        assert H._reduce(H._surface(*self.PANTS, 0b011), 0) == 0
+
+
+class TestScanComplex:
+    """The local scan's complex, forced on every diagram by SCAN_FROM =
+    0, squares to zero after every crossing and ends with no
+    differential left."""
+
+    @pytest.mark.parametrize(
+        "sym", [s for s in BATTERY if D.build(s).n <= 9])
+    def test_differential_squares_to_zero_after_every_crossing(
+            self, sym, monkeypatch):
+        monkeypatch.setattr(H, "SCAN_FROM", 0)
+        assert H.d_squared_zero(D.build(sym))
+
+    @pytest.mark.parametrize("sym", BATTERY)
+    def test_no_differential_is_left(self, sym):
+        d = D.build(sym)
+        steps = 0
+        for _, out, _ in H._complexes(d):
+            steps += 1
+        assert steps == d.n and not any(out.values())
+
+
+class TestPastTheCap:
+    """The scan called directly past CROSSING_CAP, where khovanov_f2
+    still refuses: each table's graded Euler characteristic is the
+    Jones polynomial times q + 1/q, within a generous time bound (17 to
+    62 ms were measured on a 2-core x86-64 host)."""
+
+    SYMBOLS = ["6*2.4 1.-2 0.-1.-2", "7,3,3", "5 5 5", "3 3 3 3 3"]
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_euler_characteristic_in_time(self, sym):
+        d = D.build(sym)
+        assert H.CROSSING_CAP < d.n <= 15
+        t0 = time.perf_counter()
+        ranks = H._scan(d)
+        assert time.perf_counter() - t0 < 3.0
+        assert euler_matches_jones(d, ranks)
+
+    @pytest.mark.parametrize("sym", SYMBOLS)
+    def test_khovanov_f2_refuses(self, sym):
+        with pytest.raises(SizeLimitError):
+            H.khovanov_f2(D.build(sym))
 
 
 class TestEdgeIndexRule:
@@ -404,6 +490,31 @@ class TestLimits:
         with pytest.raises(SizeLimitError):
             H.khovanov_f2(D.build("7,3,3"))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [
+        D.build("-2 2,2 2,3"),
+        # two split pieces and a free loop
+        D.from_braid([1, 1, 1, 1, 1, 3, 3, 3, 3], 5)])
+    def test_same_dimension_cap_on_both_paths(self, d, monkeypatch):
+        # the unreduced dimension, the sum of 2^k over the states with k
+        # circles, refuses a diagram at the same cap on either path,
+        # before crossing_signs is called
+        assert d.n >= H.SCAN_FROM
+        total = sum(1 << len(D.state_circles(d, s)) + d.loops
+                    for s in range(1 << d.n))
+        calls = []
+        monkeypatch.setattr(H, "crossing_signs",
+                            lambda d: calls.append(d) or D.crossing_signs(d))
+        tables = []
+        for scan_from in 0, H.CROSSING_CAP + 1:
+            monkeypatch.setattr(H, "SCAN_FROM", scan_from)
+            monkeypatch.setattr(H, "DIM_CAP", total - 1)
+            with pytest.raises(SizeLimitError):
+                H.khovanov_f2(d)
+            assert len(calls) == len(tables)
+            monkeypatch.setattr(H, "DIM_CAP", total)
+            tables.append(H.khovanov_f2(d))
+        assert tables[0] == tables[1] and len(calls) == 2
 
     def test_peak_memory_at_twelve_crossings(self):
         # one weight level of the complex is held at a time; the whole
