@@ -64,39 +64,39 @@ def fuse(arcs, pairs):
     loop that formed.  The two plugs of a pair are distinct.
 
     arcs is a dict, or a closed diagram's plug table read as it is:
-    the table is an involution with no fixed point, so iterating it
-    yields every plug once, as iterating a dict yields its keys.
+    the table is an involution with no fixed point, so it reads as the
+    dict of its enumeration.
+
+    Only the connector chains are walked: the surviving arcs are copied
+    as they are, and the two outer ends of each open chain are joined.
+    A chain that closes on itself is a new loop, listed by its first
+    plug in the order of pairs.
     """
-    loops = []
     link = {}
     for a, b in pairs:
         link[a] = b
         link[b] = a
-    out = {}
-    seen = set()
-    for p in arcs:
-        if p in link or p in seen:
-            continue
-        seen.add(p)
-        q = arcs[p]
-        while q in link:
-            seen.add(q)
-            q = link[q]
-            seen.add(q)
-            q = arcs[q]
-        seen.add(q)
-        _pair(out, p, q)
-    # connector chains that close on themselves are new loops
+    out = dict(arcs) if isinstance(arcs, dict) else dict(enumerate(arcs))
+    loops = []
     for p in link:
-        if p in seen:
+        if p not in out:  # walked with an earlier plug of its chain
             continue
-        loops.append(p)
-        q = p
-        while q not in seen:
-            seen.add(q)
+        # along p's arc until the chain leaves the connectors or closes
+        q = out.pop(p)
+        while q in link:
+            del out[q]
             q = link[q]
-            seen.add(q)
-            q = arcs[q]
+            if q == p:
+                loops.append(p)
+                break
+            q = out.pop(q)
+        else:
+            # the chain is open: from p's partner to its other outer end
+            r = out.pop(link[p])
+            while r in link:
+                del out[r]
+                r = out.pop(link[r])
+            _pair(out, q, r)
     return out, loops
 
 
@@ -555,29 +555,28 @@ def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
     return _closed(d.n, arcs, d.loops + len(loops), {c})
 
 
+# Plugs a and b sit on one crossing iff a ^ b < 4, and their slots are
+# an odd distance apart iff (a ^ b) & 1.
+
 def _find_kink(d: LinkDiagram):
     for a, b in enumerate(d.adj):
-        if a // 4 == b // 4 and a < b and (b - a) % 4 in (1, 3):
+        if a < b and a ^ b < 4 and (a ^ b) & 1:
             return a, b
     return None
 
 
 def _find_bigon(d: LinkDiagram):
-    for a, b in enumerate(d.adj):
-        if a >= b or a // 4 == b // 4:
+    adj = d.adj
+    for a, b in enumerate(adj):
+        # reducible only when both strands stay on one level, which
+        # makes each bigon arc join slots of equal parity
+        if a >= b or (a ^ b) & 1 or a ^ b < 4:
             continue
-        c, e = a // 4, b // 4
-        # look for a second arc between c and e, adjacent on both
-        for s in ((a % 4 + 1) % 4, (a % 4 - 1) % 4):
-            a2 = 4 * c + s
-            b2 = d.adj[a2]
-            if b2 // 4 != e:
-                continue
-            if (b2 % 4 - b % 4) % 4 not in (1, 3):
-                continue
-            # reducible only when both strands stay on one level,
-            # which makes each bigon arc join slots of equal parity
-            if (a + b) % 2 == 0 and (a2 + b2) % 2 == 0:
+        # look for a second arc between the two crossings, adjacent on
+        # both, so its slots are of equal parity as well
+        for a2 in (a & ~3 | (a + 1) & 3, a & ~3 | (a - 1) & 3):
+            b2 = adj[a2]
+            if b2 ^ b < 4 and (b2 ^ b) & 1:
                 return (a, b), (a2, b2)
     return None
 
@@ -612,9 +611,10 @@ def simplify(d: LinkDiagram) -> LinkDiagram:
         d = nxt
 
 
-def r3_moves(d: LinkDiagram, back=None):
+def r3_moves(d: LinkDiagram, back=None, labels=None):
     """The diagrams one Reidemeister 3 slide away, one per triangle,
-    each as a pair (move, undo).
+    each as a pair (move, undo), in the order of the triangles'
+    smallest plugs.
 
     A triangular face admits a slide along a bounding arc that runs at
     the same level (over both ends or under both ends) through its two
@@ -631,13 +631,22 @@ def r3_moves(d: LinkDiagram, back=None):
     behind, so r3_moves(move, undo) leaves out the slide back to d.
     The triangle of d with a dart leaving plug back is skipped in the
     same way, before any arc is rewired.
+
+    With the labels of a relabelling, the triangles come in the order
+    of their smallest plugs in relabel(d, labels), whose slides are
+    these moves relabelled, in the same order: a half turn of a
+    crossing commutes with the face step and the straight step and
+    keeps each slot's parity.  Either same-level arc of a triangle
+    slides to the same plug table, so the walk may begin at any plug.
+    The moves and their undo plugs stay in d's labelling either way.
     """
     adj, out = d.adj, []
-    for face in faces(d):
-        if len(face) != 3 or back in face:
-            continue
-        if len({p // 4 for p in face}) != 3:
-            continue
+    tris = [face for face in faces(d) if len(face) == 3
+            and back not in face and len({p >> 2 for p in face}) == 3]
+    if labels is not None:
+        tris.sort(key=lambda face: min(labels[p >> 2] ^ (p & 3)
+                                       for p in face))
+    for face in tris:
         for i in range(3):
             p = face[i]
             q = adj[p]

@@ -12,8 +12,8 @@ signs are read only when some crossing passes that test, and smoothed
 diagrams are built only for the crossings the search recurses into.
 A returned certificate stores the whole witness tree and can be
 re-audited offline from the codes alone; the audit recomputes each
-determinant as a minor of the decoded diagrams (invariants.determinant),
-independently of that shortcut.
+determinant as a minor of the diagram the code stands for
+(invariants.determinant), independently of that shortcut.
 
 Smoothings of a crossing are ordered by its sign: the 0-smoothing is
 the A-smoothing at a positive crossing and the B-smoothing at a
@@ -28,20 +28,45 @@ first, trying each member's crossings; the chain of codes from the
 original diagram to the member that finally worked is kept on the
 certificate, so verification can replay every hop.
 
-The search works on each member's canonical representative, the
-diagram from_code would decode from its code.  canonical_code fills
-in the crossing map of the code it writes, and the representative is
-relabelled from the hop's own diagram by that map when the member is
-taken off the queue, so no code is decoded.  A member reached by a
-triangle slide leaves out the slide back through the triangle it was
-slid through: that slide's code is the previous member's, already
-seen, so it is neither built nor coded.
+The search holds each orbit member in two labellings.  Its frame is
+the diagram as it arrived in the queue: the reduced input or
+smoothing a search starts from, a reduction hop, or a slide built in
+the frame of the member it was slid from, so a run of slides keeps
+the labelling it began in.
+Its canonical representative, the diagram from_code would decode
+from its code, is relabelled from the frame by the crossing map that
+canonical_code fills in, so no code is decoded.  Everything that
+names a crossing is read off the representative, so the crossing
+indices a certificate stores survive the code round trip: the
+determinants and the candidate order, the crossing signs and with
+them the smoothing kinds, the chosen crossing, and the reduction hop,
+since reduce_once picks the kink or bigon with the smallest plug.
 
-One search codes each plug table once.  The same table comes back
-from other crossings of a member and from other members of an orbit,
-so the call keeps a dict from the table and its loop count to the
-code and its crossing map, and drops it when it returns.  The audit
-codes every diagram itself.
+The slides and both smoothings of a candidate crossing are built in
+the frame.  Crossing c of the representative is the frame crossing f
+with labels[f] >> 2 == c, at most turned by half, and a half turn
+maps the A smoothing's plug pairs to A's and B's to B's, so the
+smoothing kind carries over.  r3_moves lists the frame's slides in
+the order of the representative's triangles, so the breadth-first
+order, the node counts and the certificates are the ones a search on
+representatives alone would make.  A member reached by a triangle
+slide leaves out the slide back through the triangle it was slid
+through, named by the move's own undo plug: that slide's code is the
+previous member's, already seen, so it is neither built nor coded.
+
+One search codes each plug table once: the call keeps a dict from
+the table and its loop count to the code and its crossing map, and
+drops it when it returns.  Building in the frame is what makes a
+diagram come back as the same table.  Two slides that commute reach
+one table in either order, and a crossing smoothed at two members a
+slide apart gives one table, where the two representatives would
+label each result two ways.  A reduced smoothing's code does not
+depend on the labelling it was smoothed in, which the tests check on
+random closures, though reduce_once's choice does.
+
+The audit walks representatives only.  It decodes the root, and
+relabels each hop and each child from the diagram it has just built
+and coded, which is the representative of the code it checked.
 
 Negative outcomes are statements about the orbit the search explored,
 not about the underlying link.
@@ -107,25 +132,28 @@ def _smoothing_kinds(sign):
     return ("A", "B") if sign > 0 else ("B", "A")
 
 
-def _hops(d, coder, back=None):
-    """One orbit step from d: its triangle slides, then its reduction
-    when it has one, each as (code, diagram, labels, back) where
-    relabel(diagram, labels) is the hop's canonical representative and
-    back is the plug of that representative whose triangle slides back
-    to d (None after a reduction).  coder(diagram, labels) is
-    canonical_code or the search's memo of it.  r3_moves leaves out
-    the slide through the triangle of d with a dart leaving plug back,
-    which returns to the member d was slid from, so it is never built
-    or coded.  simplify carries on from the reduction already found
-    instead of finding it again."""
-    for m, undo in r3_moves(d, back):
-        labels = {}
-        code = coder(m, labels)
-        yield code, m, labels, labels[undo >> 2] ^ (undo & 3)
-    reduced = reduce_once(d)
+def _hops(m, coder, src=None, labels=None, back=None):
+    """One orbit step from the representative m: its triangle slides,
+    then its reduction when it has one, each as (code, diagram, labels,
+    back) where relabel(diagram, labels) is the hop's canonical
+    representative and back is the plug of diagram whose triangle
+    slides back (None after a reduction).  coder(diagram, labels) is
+    canonical_code or the search's memo of it.
+
+    The slides are built in the frame src, with relabel(src, labels)
+    == m, and come in the order of m's own slides; the audit leaves src
+    out and walks m.  r3_moves leaves out the slide through the
+    triangle of src with a dart leaving plug back, which returns to
+    the member src was slid from, so it is never built or coded.  The
+    reduction is m's, built from m; simplify carries on from the
+    reduction already found instead of finding it again."""
+    for move, undo in r3_moves(m if src is None else src, back, labels):
+        hop_labels = {}
+        yield coder(move, hop_labels), move, hop_labels, undo
+    reduced = reduce_once(m)
     if reduced is not None:
-        m, labels = simplify(reduced), {}
-        yield coder(m, labels), m, labels, None
+        s, hop_labels = simplify(reduced), {}
+        yield coder(s, hop_labels), s, hop_labels, None
 
 
 def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
@@ -181,9 +209,9 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
             if visited[0] >= cfg.node_budget:
                 raise _BudgetStop()
             visited[0] += 1
-            # work on the canonical representative, which is
+            # name crossings on the canonical representative, which is
             # from_code(mcode), so stored crossing indices survive the
-            # code round trip
+            # code round trip; build slides and smoothings in src
             m = relabel(src, labels)
             if m.n == 0:
                 if m.loops == 1:
@@ -197,19 +225,22 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
                           if ta >= 1 and tb >= 1 and ta + tb == det]
             # most balanced determinant split first, then crossing index
             candidates.sort()
-            signs = crossing_signs(m) if candidates else ()
+            if candidates:
+                signs = crossing_signs(m)
+                in_frame = {x >> 2: f for f, x in labels.items()}
             for _, c, ta, tb in candidates:
                 k0, k1 = _smoothing_kinds(signs[c])
                 t0, t1 = (ta, tb) if k0 == "A" else (tb, ta)
-                c0 = search(simplify(smooth(m, c, k0)))
+                c0 = search(simplify(smooth(src, in_frame[c], k0)))
                 if c0 is None:
                     continue
-                c1 = search(simplify(smooth(m, c, k1)))
+                c1 = search(simplify(smooth(src, in_frame[c], k1)))
                 if c1 is None:
                     continue
                 leaf = QACertificate(mcode, det, c, (det, t0, t1), (c0, c1))
                 return settle(code, via, leaf)
-            for nc, hop, hop_labels, hop_back in _hops(m, coded, back):
+            for nc, hop, hop_labels, hop_back in _hops(m, coded, src,
+                                                       labels, back):
                 if nc not in seen:
                     seen.add(nc)
                     queue.append((nc, via + (nc,), hop, hop_labels, hop_back))
@@ -228,17 +259,18 @@ def qa_search(d: LinkDiagram, cfg: SearchConfig = None) -> SearchOutcome:
 def verify_certificate(cert: QACertificate) -> bool:
     """Re-audit a witness tree from its stored codes alone.
 
-    Every determinant is recomputed from the decoded diagrams, the
-    additive split is rechecked, and each child code must equal the
-    canonical code of the reduced smoothing, the only form the search
-    writes.  Each via hop must be one orbit step of the previous
-    diagram, the same step the search takes with nothing left out, and
-    the audit goes on from that step's canonical representative;
-    crossing and children are checked against the final diagram of the
-    chain, and a leaf must be the 0-crossing unknot.  Fields of the
-    wrong type, as JSON can carry, fail the audit rather than raise;
-    every determinant must be an int, since True == 1 and 3.0 == 3
-    would otherwise pass.
+    Every determinant is recomputed, the additive split is rechecked,
+    and each child code must equal the canonical code of the reduced
+    smoothing, the only form the search writes.  Each via hop must be
+    one orbit step of the previous diagram, the same step the search
+    takes with nothing left out; crossing and children are checked
+    against the final diagram of the chain, and a leaf must be the
+    0-crossing unknot.  Only the root is decoded: every other diagram
+    audited is relabelled from the one that was just coded, into the
+    canonical representative of the code it was checked against.
+    Fields of the wrong type, as JSON can carry, fail the audit rather
+    than raise; every determinant must be an int, since True == 1 and
+    3.0 == 3 would otherwise pass.
 
     A search certificate shares subtrees: one memoized node object can
     hang under several parents.  A node's audit does not depend on its
@@ -246,27 +278,27 @@ def verify_certificate(cert: QACertificate) -> bool:
     """
     passed = set()  # ids of nodes that passed; the tree keeps them alive
 
-    def audit(node):
+    def audit(node, d):
         if id(node) in passed:
             return True
-        if not _audit_node(node, audit):
+        if not _audit_node(node, d, audit):
             return False
         passed.add(id(node))
         return True
 
-    return audit(cert)
-
-
-def _audit_node(cert, audit):
-    """verify_certificate's checks of one node, auditing its children
-    through audit."""
-    if not isinstance(cert.diagram_code, str) or type(cert.det) is not int:
+    if not isinstance(cert.diagram_code, str):
         return False
     try:
-        d = from_code(cert.diagram_code)
+        root = from_code(cert.diagram_code)
     except ValueError:
         return False
-    if determinant(d) != cert.det:
+    return audit(cert, root)
+
+
+def _audit_node(cert, d, audit):
+    """verify_certificate's checks of one node, whose code decodes to
+    d, auditing its children through audit."""
+    if type(cert.det) is not int or determinant(d) != cert.det:
         return False
     for hop in cert.via:
         for code, m, labels, _ in _hops(d, canonical_code):
@@ -290,8 +322,10 @@ def _audit_node(cert, audit):
     if any(type(x) is not int for x in cert.det_triple):
         return False
     for kind, child in zip(_smoothing_kinds(crossing_signs(d)[c]), (c0, c1)):
-        code = canonical_code(simplify(smooth(d, c, kind)))
-        if child.diagram_code != code or not audit(child):
+        s, labels = simplify(smooth(d, c, kind)), {}
+        if child.diagram_code != canonical_code(s, labels):
+            return False
+        if not audit(child, relabel(s, labels)):
             return False
     # both child determinants are now audited integers
     return c0.det >= 1 and c1.det >= 1 and c0.det + c1.det == cert.det

@@ -50,10 +50,17 @@ off one adjugate.
 fraction_sym_signature is Lagrange's reduction of a symmetric matrix
 over the rationals; the package runs the same pivots on integers.
 
+walk_fuse joins arcs through connector plugs by walking every arc
+from every surviving plug to its far end; the package walks only the
+connector chains and copies the other arcs.  arithmetic_find_kink and
+arithmetic_find_bigon find the kink and bigon with the smallest plug
+by crossing and slot arithmetic; the package tests plug bits.
+
 copying_smooth and copying_reduce_once smooth a crossing and remove a
-kink or bigon on a dict copy of the plug table, deleting a bigon's two
-arcs before fusing the crossings' outer plugs; the package passes the
-table to fuse as it is and fuses a bigon straight through.
+kink or bigon on a dict copy of the plug table with walk_fuse and the
+arithmetic finders, deleting a bigon's two arcs before fusing the
+crossings' outer plugs; the package passes the table to fuse as it is
+and fuses a bigon straight through.
 """
 
 from fractions import Fraction
@@ -61,8 +68,8 @@ from fractions import Fraction
 from qalinks import conway
 from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
 from qalinks.diagram import (
-    DisconnectedDiagramError, LinkDiagram, _closed, _find_bigon, _find_kink,
-    _through, crossing_signs, fuse, graph_components,
+    DisconnectedDiagramError, LinkDiagram, _closed, _through, crossing_signs,
+    graph_components,
 )
 from qalinks.invariants import LaurentPoly
 
@@ -543,11 +550,80 @@ def fraction_sym_signature(m):
     return sig
 
 
+def walk_fuse(arcs, pairs):
+    """diagram.fuse by a walk from every surviving plug: each arc is
+    followed through the connectors to its far end, and the connector
+    chains no walk met are the new loops, each listed by its first
+    plug in the order of pairs.  arcs is a dict, or a plug table, whose
+    values are its plugs."""
+    loops = []
+    link = {}
+    for a, b in pairs:
+        link[a] = b
+        link[b] = a
+    out = {}
+    seen = set()
+    for p in arcs:
+        if p in link or p in seen:
+            continue
+        seen.add(p)
+        q = arcs[p]
+        while q in link:
+            seen.add(q)
+            q = link[q]
+            seen.add(q)
+            q = arcs[q]
+        seen.add(q)
+        out[p] = q
+        out[q] = p
+    # connector chains that close on themselves are new loops
+    for p in link:
+        if p in seen:
+            continue
+        loops.append(p)
+        q = p
+        while q not in seen:
+            seen.add(q)
+            q = link[q]
+            seen.add(q)
+            q = arcs[q]
+    return out, loops
+
+
+def arithmetic_find_kink(d):
+    """The arc with the smallest plug that joins two neighbouring slots
+    of one crossing."""
+    for a, b in enumerate(d.adj):
+        if a // 4 == b // 4 and a < b and (b - a) % 4 in (1, 3):
+            return a, b
+    return None
+
+
+def arithmetic_find_bigon(d):
+    """The arc with the smallest plug that, with an arc next to it at
+    both ends, bounds a bigon whose strands stay on one level; both
+    arcs."""
+    for a, b in enumerate(d.adj):
+        if a >= b or a // 4 == b // 4:
+            continue
+        c, e = a // 4, b // 4
+        for s in ((a % 4 + 1) % 4, (a % 4 - 1) % 4):
+            a2 = 4 * c + s
+            b2 = d.adj[a2]
+            if b2 // 4 != e:
+                continue
+            if (b2 % 4 - b % 4) % 4 not in (1, 3):
+                continue
+            if (a + b) % 2 == 0 and (a2 + b2) % 2 == 0:
+                return (a, b), (a2, b2)
+    return None
+
+
 def copying_smooth(d, c, kind):
     """smooth on a dict copy of the plug table."""
     slots = {"A": [(0, 1), (2, 3)], "B": [(0, 3), (1, 2)]}[kind]
     pairs = [(4 * c + s, 4 * c + t) for s, t in slots]
-    arcs, loops = fuse(dict(enumerate(d.adj)), pairs)
+    arcs, loops = walk_fuse(dict(enumerate(d.adj)), pairs)
     return _closed(d.n, arcs, d.loops + len(loops), {c})
 
 
@@ -555,18 +631,18 @@ def copying_reduce_once(d):
     """reduce_once on a dict copy: a kink is smoothed off and its loop
     dropped; a bigon's two arcs are deleted and the outer plugs of its
     crossings fused across."""
-    kink = _find_kink(d)
+    kink = arithmetic_find_kink(d)
     if kink:
         a, b = kink
         s = copying_smooth(d, a // 4, "A" if (a + b) % 4 == 1 else "B")
         return LinkDiagram(s.n, s.adj, s.loops - 1)
-    bigon = _find_bigon(d)
+    bigon = arithmetic_find_bigon(d)
     if bigon:
         (a, b), (a2, b2) = bigon
         arcs = dict(enumerate(d.adj))
         for p in (a, b, a2, b2):
             del arcs[p]
         pairs = [(_through(a), _through(b)), (_through(a2), _through(b2))]
-        arcs, loops = fuse(arcs, pairs)
+        arcs, loops = walk_fuse(arcs, pairs)
         return _closed(d.n, arcs, d.loops + len(loops), {a // 4, b // 4})
     return None

@@ -11,7 +11,7 @@ from qalinks import diagram as D
 
 from oracles import (
     brute_canonical_code, checkerboard, code_from, dart_faces,
-    r3_moves_every_arc,
+    r3_moves_every_arc, walk_fuse,
 )
 
 
@@ -328,6 +328,76 @@ class TestR3AgainstEveryArc:
                 kept = {tuple(b.adj) for b, _ in D.r3_moves(m, undo)}
                 assert [D.canonical_code(b) for b, _ in back
                         if tuple(b.adj) not in kept] == [code]
+
+    def test_labelled_order_is_the_relabelled_order(self):
+        # slides built in one labelling, listed in the order of the
+        # slides of another: a random one and the canonical one
+        rng = random.Random(22)
+        checked = 0
+        for d in self.CORPUS:
+            ids = list(range(d.n))
+            rng.shuffle(ids)
+            canonical = {}
+            D.canonical_code(d, canonical)
+            for labels in ({c: 4 * ids[c] + rng.choice((0, 2))
+                            for c in range(d.n)}, canonical):
+                rel = D.relabel(d, labels)
+                moves = D.r3_moves(d, None, labels)
+                assert ([D.relabel(m, labels).adj for m, _ in moves]
+                        == [m.adj for m, _ in D.r3_moves(rel)])
+                for m, undo in moves:
+                    # the undo plug names the same triangle in both
+                    back = labels[undo >> 2] ^ (undo & 3)
+                    assert ([D.relabel(x, labels).adj
+                             for x, _ in D.r3_moves(m, undo, labels)]
+                            == [x.adj for x, _ in
+                                D.r3_moves(D.relabel(m, labels), back)])
+                    checked += 1
+        assert checked > 60
+
+
+class TestFuseAgainstWalk:
+    """fuse walks the connector chains only; walk_fuse walks every arc
+    from every surviving plug."""
+
+    @staticmethod
+    def pairs(rng, plugs):
+        rng.shuffle(plugs)
+        return list(zip(plugs[::2], plugs[1::2]))
+
+    def test_random_fusions(self):
+        rng = random.Random(22)
+        cases = []
+        # plug tables, read as they are, with any of their plugs fused
+        for d in mixed_closures(9, 80):
+            for _ in range(4):
+                k = rng.randint(1, 2 * d.n)
+                cases.append((d.adj, self.pairs(
+                    rng, rng.sample(range(4 * d.n), 2 * k))))
+        # arc dicts over corner names and tuples as well as plugs, in
+        # a random key order
+        names = (list(D.CORNERS) + list(range(16))
+                 + [("v", v, c) for v in range(3) for c in D.CORNERS])
+        for _ in range(400):
+            keys = rng.sample(names, 2 * rng.randint(1, len(names) // 2))
+            arcs = {}
+            for a, b in self.pairs(rng, list(keys)):
+                arcs[a], arcs[b] = b, a
+            order = list(arcs)
+            rng.shuffle(order)
+            arcs = {k: arcs[k] for k in order}
+            k = rng.randint(1, len(keys) // 2)
+            cases.append((arcs, self.pairs(rng, rng.sample(keys, 2 * k))))
+        closed = whole = 0
+        for arcs, pairs in cases:
+            out, loops = D.fuse(arcs, pairs)
+            want, want_loops = walk_fuse(arcs, pairs)
+            assert out == want
+            assert loops == want_loops
+            closed += len(loops) > 1
+            whole += not out
+        # several loops at once, and fusions that leave no arc
+        assert closed > 50 and whole > 20
 
 
 class TestPlugTable:

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -128,6 +129,43 @@ def test_search_effort_is_pinned(sym):
     assert (out.status, out.nodes_visited) == SEARCH_PINS[sym]
 
 
+def permuted(d, rng):
+    """d with its crossings renumbered and some turned by half."""
+    ids = list(range(d.n))
+    rng.shuffle(ids)
+    return D.relabel(d, {c: 4 * ids[c] + rng.choice((0, 2))
+                         for c in range(d.n)})
+
+
+def test_reduced_code_ignores_the_labelling():
+    # the search smooths and reduces in the labelling a member arrived
+    # in, and files the result under the code the representative's
+    # smoothing would get; reduce_once's choice depends on labels
+    rng = random.Random(22)
+    diagrams = []
+    for x in mixed_closures(22, 300):
+        c = rng.randrange(x.n)
+        diagrams += [x, D.smooth(x, c, rng.choice("AB"))]
+    for x in diagrams:
+        want = D.canonical_code(D.simplify(x))
+        for _ in range(10):
+            assert D.canonical_code(D.simplify(permuted(x, rng))) == want
+
+
+@pytest.mark.parametrize("sym", sorted(SEARCH_PINS))
+def test_search_ignores_the_input_labelling(sym):
+    def text(out):
+        return out.certified and json.dumps(certificate_to_dict(out.certificate))
+
+    d = D.build(sym)
+    want = text(qa_search(d))
+    rng = random.Random(sym)
+    for _ in range(2):
+        again = qa_search(permuted(d, rng))
+        assert (again.status, again.nodes_visited) == SEARCH_PINS[sym]
+        assert text(again) == want
+
+
 def test_dead_orbit_members_are_skipped():
     # three members of this search's orbits were already settled dead
     # by an earlier orbit; expanding them instead of skipping them
@@ -248,7 +286,8 @@ def test_smoothing_counts_the_loops_that_form():
 
 def orbit_walk(d, limit=300):
     """The search's breadth-first walk of d's orbit, each member as
-    (representative, back plug, code of the member it was reached from)."""
+    (frame, labels, back plug of the frame, code of the member it was
+    reached from), where relabel(frame, labels) is the representative."""
     labels = {}
     queue = collections.deque([(d, labels, None, None)])
     seen = {D.canonical_code(d, labels)}
@@ -256,10 +295,11 @@ def orbit_walk(d, limit=300):
         if not queue:
             return
         src, labels, back, prev = queue.popleft()
+        yield src, labels, back, prev
         m = D.relabel(src, labels)
-        yield m, back, prev
         code = D.canonical_code(m)
-        for nc, s, lab, nback in qa._hops(m, D.canonical_code, back):
+        for nc, s, lab, nback in qa._hops(m, D.canonical_code, src, labels,
+                                          back):
             if nc not in seen:
                 seen.add(nc)
                 queue.append((s, lab, nback, code))
@@ -273,8 +313,13 @@ def test_skipped_slide_returns_to_the_previous_member():
         starts = [root] + [D.simplify(D.smooth(root, c, kind))
                            for c in range(root.n) for kind in "AB"]
         for start in starts:
-            for m, back, prev in orbit_walk(start):
-                every, kept = D.r3_moves(m), D.r3_moves(m, back)
+            for src, labels, back, prev in orbit_walk(start):
+                m = D.relabel(src, labels)
+                every = D.r3_moves(src, None, labels)
+                kept = D.r3_moves(src, back, labels)
+                # the frame's slides are the representative's, in order
+                assert ([D.relabel(x, labels) for x, _ in every]
+                        == [x for x, _ in D.r3_moves(m)])
                 tables = {tuple(x.adj) for x, _ in kept}
                 # the kept slides in order, undo plugs included
                 assert [h for h in every if tuple(h[0].adj) in tables] == kept
@@ -283,7 +328,8 @@ def test_skipped_slide_returns_to_the_previous_member():
                             if tuple(x.adj) not in tables]
                 assert left_out in ([], [prev])
                 skipped += len(left_out)
-                coded = [h[0] for h in qa._hops(m, D.canonical_code, back)]
+                coded = [h[0] for h in qa._hops(m, D.canonical_code, src,
+                                                labels, back)]
                 every = [h[0] for h in qa._hops(m, D.canonical_code)]
                 assert sorted(coded + left_out) == sorted(every)
     assert skipped > 1000
@@ -315,6 +361,34 @@ def test_each_plug_table_is_coded_once_per_search(monkeypatch):
             assert want and want <= set(codes)
             certified += 1
     assert certified == 2
+
+
+# canonical_code calls of one search under the default config.  Slides
+# and smoothings built on the representatives instead of the frames
+# read 86, 114, 270, 168, 271, 270, 218 and 287.
+CODE_PINS = {
+    "3,3,-3": 62,
+    "4,3,-3": 55,
+    "5,3,-3": 176,
+    "-2 1 2,3,3": 123,
+    "-2 2,2 2,3": 215,
+    "(3,-2 1) (2 1,2)": 219,
+    "6*2.2 1.-2 0.-1.-2": 181,
+    "6*2.3 1.-2 0.-1.-2": 191,
+}
+
+
+def test_codes_per_search_are_pinned(monkeypatch):
+    real, calls = D.canonical_code, []
+    monkeypatch.setattr(qa, "canonical_code",
+                        lambda d, labels=None: calls.append(1)
+                        or real(d, labels))
+    got = {}
+    for sym in CODE_PINS:
+        calls.clear()
+        qa_search(D.build(sym))
+        got[sym] = len(calls)
+    assert got == CODE_PINS
 
 
 # --- verification rejects tampering -----------------------------------
