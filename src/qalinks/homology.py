@@ -61,17 +61,20 @@ not the whole complex.
 The scan (D. Bar-Natan, Fast Khovanov homology computations,
 arXiv:math/0606318), over F2.  The crossings are added in
 diagram.scan_order to a complex of crossingless matchings of the open
-ends, each at a homological degree h and a q shift.  The arc
-(0, adj[0]) is cut: both its ends stay open to the last crossing and
-are marked, and a dot on any component touching them is 0, which gives
-reduced homology.  A morphism M -> N is an F2 sum of dot patterns on
-the cycles of M ∪ N, one disk per cycle with at most one dot, held as
-an int with bit P set for pattern P.  Any glued surface reduces to
-such sums by its components, over F2 with dot^2 = 0: a handle is 0; a
-sphere is 1 with exactly one dot, else 0; an undotted genus-0 piece
-with b boundary cycles becomes its b terms with all cycles but one
-dotted; a once-dotted piece becomes the term with all its cycles
-dotted.
+ends, each at a homological degree h and a q shift.  One arc is cut:
+both its ends stay open from the first of its crossings placed to the
+last crossing and are marked, and a dot on any component touching them
+is 0, which gives reduced homology.  Over F2 the reduced homology does
+not depend on the arc marked (Shumakovitch, as above), so the scan
+cuts the arc whose earlier end scan_order places last, ties to the
+smallest plug: the fewest steps carry its open ends.  A morphism
+M -> N is an F2 sum of dot patterns on the cycles of M ∪ N, one disk
+per cycle with at most one dot, held as an int with bit P set for
+pattern P.  Any glued surface reduces to such sums by its components,
+over F2 with dot^2 = 0: a handle is 0; a sphere is 1 with exactly one
+dot, else 0; an undotted genus-0 piece with b boundary cycles becomes
+its b terms with all cycles but one dotted; a once-dotted piece
+becomes the term with all its cycles dotted.
 
 Adding crossing c puts each object in c's A smoothing at (h, q) and in
 its B smoothing at (h + 1, q + 1), joined by the saddle, and each
@@ -89,8 +92,12 @@ q + 1 for the marked circle and once more so for each free loop.
 
 The scan's work grows with the matchings of the open ends rather than
 with 2^n, but each object costs far more than a cube labeling, so
-below SCAN_FROM crossings the cube is faster, as measured against it;
-khovanov_f2 reads SCAN_FROM and the caps from d.n at call time.
+below SCAN_FROM crossings the cube is faster, as measured against it:
+cube time over scan time, summed per crossing number over the
+benchmark's simplified homology-table and table-rows diagrams, is 0.8
+at 6 crossings, 1.3 at 7, 2.3 at 8 and 14 at 12, though some seven-
+crossing diagrams are still faster on the cube.  khovanov_f2 reads
+SCAN_FROM and the caps from d.n at call time.
 
 The size caps are the module constants CROSSING_CAP and DIM_CAP; a
 diagram over either raises SizeLimitError before the complex is
@@ -115,7 +122,7 @@ from qalinks.invariants import SizeLimitError
 
 CROSSING_CAP = 12
 DIM_CAP = 1 << 22
-SCAN_FROM = 9
+SCAN_FROM = 7
 
 
 def khovanov_f2(d: LinkDiagram) -> dict:
@@ -138,9 +145,10 @@ def _check_dimension(total: int):
                              % (total, DIM_CAP))
 
 
-# One copy of each (i, j) key ever returned, so that rank tables kept
-# side by side, as the rows of a table keep them, share their keys; it
-# holds equal immutable tuples only, so no result depends on it.
+# One copy of each (i, j) key and each thinness report ever returned,
+# so that rank tables and reports kept side by side, as the rows of a
+# table keep them, share them; it holds equal immutable values only,
+# so no result depends on it.
 _KEYS = {}
 
 
@@ -438,22 +446,27 @@ def _cycle_table(mats, ends, marks):
 
 
 def _complexes(d: LinkDiagram):
-    """Yield the scan's complex after each crossing: (objects, out,
-    compose).  objects maps an id to ((matching, q), h); out[a][b] is
-    the entry a -> b; compose(s, b, t, f, g) is the morphism f: s -> b
-    followed by g: a -> t, for an object a with b's matching."""
-    adj = d.adj
-    cut = (0, adj[0]) if d.n else ()
+    """Yield the scan's complex after each crossing of scan_order, the
+    arc whose earlier end it places last cut, ties to the smallest plug:
+    (objects, out, compose).  objects maps an id to ((matching, q), h);
+    out[a][b] is the entry a -> b; compose(s, b, t, f, g) is the
+    morphism f: s -> b followed by g: a -> t, for an object a with b's
+    matching."""
+    adj, order = d.adj, scan_order(d)
+    at = {c: i for i, c in enumerate(order)}
+    cut = max(((p, adj[p]) for p in range(4 * d.n) if p < adj[p]),
+              key=lambda a: (min(at[a[0] >> 2], at[a[1] >> 2]), -a[0]),
+              default=())
     # first every step's matchings: per matching, the matching and the
     # loops that each smoothing glues it into, and the states reaching
     # it, each weighed 2^loops, for the cap
     placed, ends, mats, weights, steps = set(), [], [{}], [1], []
-    for c in scan_order(d):
+    for c in order:
         placed.add(c)
         plugs = range(4 * c, 4 * c + 4)
         # arcs to placed crossings, c's own kinks once, never the cut arc
         pairs = [(q, adj[q]) for q in plugs if adj[q] >> 2 in placed
-                 and (adj[q] >> 2 != c or q < adj[q]) and q and adj[q]]
+                 and (adj[q] >> 2 != c or q < adj[q]) and q not in cut]
         ends = sorted({*ends, *plugs} - {p for pair in pairs for p in pair})
         p0, p1, p2, p3 = plugs
         smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
@@ -633,9 +646,10 @@ def _scan(d: LinkDiagram) -> dict:
 
 
 def d_squared_zero(d: LinkDiagram) -> bool:
-    """Check d∘d = 0 on the complex khovanov_f2 builds: block by block
-    on the cube's marked-circle subcomplex, or on the scan's complex
-    after every crossing."""
+    """Check d∘d = 0 on the complex khovanov_f2 builds: below SCAN_FROM
+    crossings block by block on the cube's marked-circle subcomplex,
+    from SCAN_FROM up on the scan's complex after every crossing, with
+    the arc _complexes cuts."""
     _check_crossings(d)
     if d.n >= SCAN_FROM:
         return all(_squares_to_zero(out, compose)
@@ -693,4 +707,5 @@ def thinness(ranks: dict, sigma: int) -> ThinnessReport:
     deltas = sorted({j - 2 * i for i, j in ranks})
     width = (deltas[-1] - deltas[0]) // 2 + 1
     sigma_thin = set(deltas) <= {-sigma - 1, -sigma + 1}
-    return ThinnessReport(tuple(deltas), width, sigma_thin)
+    report = ThinnessReport(tuple(deltas), width, sigma_thin)
+    return _KEYS.setdefault(report, report)

@@ -41,6 +41,7 @@ arXiv:0712.2265).
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from qalinks import diagram as diag
@@ -53,7 +54,7 @@ class SizeLimitError(RuntimeError):
 class LaurentPoly:
     """Integer Laurent polynomial in one variable."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "__weakref__")
 
     def __init__(self, coeffs=None):
         c = {}
@@ -214,6 +215,12 @@ def bracket(d) -> LaurentPoly:
     return out
 
 
+# The live Jones polynomials by their terms, so that the rows of a table
+# kept side by side share equal ones; a LaurentPoly is never changed in
+# place, and an entry goes once no caller holds its polynomial.
+_JONES = weakref.WeakValueDictionary()
+
+
 def jones(d) -> LaurentPoly:
     """Jones polynomial in the square root of the usual variable.
 
@@ -230,7 +237,8 @@ def jones(d) -> LaurentPoly:
         if e % 2:
             raise AssertionError("odd bracket exponent after writhe twist")
         out[-e // 2] = v
-    return LaurentPoly(out)
+    poly = LaurentPoly(out)
+    return _JONES.setdefault(tuple(sorted(poly.c.items())), poly)
 
 
 def determinant(d) -> int:

@@ -7,6 +7,7 @@ component shifts by six in the doubled exponent). Comparisons on links
 allow that gauge; knot values are exact.
 """
 
+import gc
 import importlib.util
 import itertools
 import random
@@ -219,6 +220,17 @@ class TestJones:
     def test_value_at_minus_one_is_determinant(self, sym):
         d = build(sym)
         assert jones_at_minus_one_squared(I.jones(d)) == I.determinant(d) ** 2
+
+    def test_equal_polynomials_are_shared_while_held(self):
+        # rows kept side by side hold one copy of each Jones polynomial,
+        # and one that no caller holds is let go
+        v = I.jones(build("3 1 4 1 5"))
+        assert I.jones(D.mirror(D.mirror(build("3 1 4 1 5")))) is v
+        key = tuple(sorted(v.c.items()))
+        assert key in I._JONES
+        del v
+        gc.collect()
+        assert key not in I._JONES
 
 
 class TestDeterminant:
