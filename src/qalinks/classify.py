@@ -1,6 +1,6 @@
 """Classifiers on diagrams, Jones polynomials and Montesinos links.
 
-Four loosely related tests live here:
+The module holds:
 
 * adequacy of a diagram, read off the all-A and all-B state circles
   of diagram.state_circles;
@@ -16,24 +16,21 @@ Four loosely related tests live here:
   some i, or eps = -(p - 1) and t_i > min_{j != i} u_j for some i.
   On a pretzel P(p_1, ..., p_n, -q) with every p_i >= 2 and q >= 2
   this is Greene's q > min p_i;
-* evaluation of the side conditions attached to link families
-  ("min(q,r)>p" and friends), parsed from the table strings.
+* thickness evidence: the strongest reason at hand to call a link
+  thick or thin, a structural theorem on adequate non-alternating
+  diagrams before a computed F2 width.
 
-The first two are diagram- or polynomial-level and the third reads a
-Montesinos symbol: none enumerates alternative diagrams of the same
-link, and none searches.
+The first two are diagram- or polynomial-level, the third reads a
+Montesinos symbol, and the fourth combines the first with a homology
+table: none enumerates alternative diagrams of the same link, and
+none searches.
 """
 
-import ast
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conway import (
-    MissingParameterError, MontesinosSpec, montesinos_canonical,
-    montesinos_det,
-)
+from .conway import MontesinosSpec, montesinos_canonical, montesinos_det
 from .diagram import LinkDiagram, circle_labels
 from .homology import thinness
 from .invariants import LaurentPoly
@@ -139,46 +136,6 @@ def montesinos_qa(spec: MontesinosSpec) -> bool:
     if eps == -(p - 1):
         return any(t[i] > min(u[:i] + u[i + 1:]) for i in range(p))
     return False
-
-
-# --- family condition strings -----------------------------------------
-
-_ALLOWED_NODES = (
-    ast.Expression, ast.Compare, ast.BoolOp, ast.And, ast.Or,
-    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.UnaryOp, ast.USub,
-    ast.Call, ast.Name, ast.Constant, ast.Load,
-    ast.Gt, ast.GtE, ast.Lt, ast.LtE, ast.Eq, ast.NotEq,
-)
-
-
-def eval_family_condition(cond: str, assignment: dict) -> bool:
-    """Evaluate a family side condition like "min(q,r)>p".
-
-    The table strings use a single "=" for equality and chain
-    comparisons ("p>q>=2"); both are plain Python once "=" becomes
-    "==".  Only min/max calls, integer arithmetic and comparisons are
-    admitted.
-    """
-    src = re.sub(r"(?<![<>=!])=(?!=)", "==", cond)
-    tree = ast.parse(src, mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError("unsupported syntax in condition: %r" % cond)
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name)
-                    and node.func.id in ("min", "max")):
-                raise ValueError("only min/max calls allowed: %r" % cond)
-        if isinstance(node, ast.Constant) and not isinstance(node.value, int):
-            raise ValueError("non-integer constant in condition: %r" % cond)
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names -= {"min", "max"}
-    for n in sorted(names):
-        if n not in assignment:
-            raise MissingParameterError(n)
-    scope = {"min": min, "max": max}
-    scope.update({k: int(v) for k, v in assignment.items()})
-    return bool(eval(compile(tree, "<condition>", "eval"),
-                     {"__builtins__": {}}, scope))
 
 
 # --- thickness evidence ------------------------------------------------

@@ -15,9 +15,6 @@ Dialect rules implemented here:
   10**, 10***; vertex tangles are separated by ".", a ":" abbreviates
   ".1.", omitted and trailing slots default to 1, and a symbol whose
   separators appear without a basis prefix lives on 6*
-
-Lowercase letters act as named parameters so that whole families such as
-"p,q,r" can be stored symbolically and instantiated with substitute().
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ class VertexArityError(ConwaySyntaxError):
     pass
 
 
-class MissingParameterError(KeyError):
-    pass
-
-
 class NotRationalTangleError(ValueError):
     pass
 
@@ -56,16 +49,8 @@ class NotMontesinosFormError(ValueError):
 
 
 @dataclass(frozen=True)
-class Param:
-    """Symbolic twist count, e.g. the p in the family p,q,r."""
-
-    name: str
-    negated: bool = False
-
-
-@dataclass(frozen=True)
 class Seq:
-    """Rational tangle given by an integer (or parameter) sequence."""
+    """Rational tangle given by an integer sequence."""
 
     terms: tuple
 
@@ -79,7 +64,7 @@ class Ram:
     """Comma join of tangles, each part flipped over the main diagonal.
 
     runs[i] records the twist marks written right after part i:
-    a positive count k (or a parameter) stands for a run of "+" marks
+    a positive count k stands for a run of "+" marks
     and inserts k extra positive crossings at that point of the join,
     a negative count -k stands for a run of "-" marks and mirrors the
     k parts ending at position i.  wrapped records whether the source
@@ -130,24 +115,23 @@ BASIS_VERTICES = {"6*": 6, "8*": 8, "9*": 9, "10*": 10, "10**": 10, "10***": 10}
 _ONE = Seq((1,))
 
 
-def _is_term_char(ch):
-    return ch.isdigit() or (ch.isalpha() and ch.islower())
-
-
 class _Parser:
-    def __init__(self, text):
+    """Reads one tangle from text[i:end]; positions index all of text."""
+
+    def __init__(self, text, i, end):
         self.text = text
-        self.i = 0
+        self.i = i
+        self.end = end
 
     def peek(self, off=0):
         j = self.i + off
-        return self.text[j] if j < len(self.text) else ""
+        return self.text[j] if j < self.end else ""
 
     def error(self, message):
         raise ConwaySyntaxError(message, self.i)
 
     def expect_end(self):
-        if self.i != len(self.text):
+        if self.i != self.end:
             self.error("unexpected %r" % self.peek())
 
     def parse_ram(self):
@@ -164,7 +148,7 @@ class _Parser:
         return Ram(tuple(parts), tuple(runs))
 
     def parse_marks(self, parts_so_far):
-        """Twist marks after a part: "+"/"-" runs, "+" may carry a count."""
+        """Twist marks after a part: a run of "+" or of "-"."""
         mark = self.peek()
         if mark not in ("+", "-"):
             return 0
@@ -175,8 +159,6 @@ class _Parser:
         if self.peek() in ("+", "-"):
             self.error("mixed + and - twist marks")
         if mark == "+":
-            if count == 1 and _is_term_char(self.peek()):
-                return self.parse_term()
             return count
         if count > parts_so_far:
             self.error("more - marks than parts")
@@ -196,8 +178,8 @@ class _Parser:
             ch = self.peek()
             if ch == " ":
                 nxt = self.peek(1)
-                if nxt == "(" or _is_term_char(nxt) or (
-                    nxt == "-" and (self.peek(2) == "(" or _is_term_char(self.peek(2)))
+                if nxt == "(" or nxt.isdigit() or (
+                    nxt == "-" and (self.peek(2) == "(" or self.peek(2).isdigit())
                 ):
                     self.i += 1
                     at_start = True
@@ -212,11 +194,11 @@ class _Parser:
                 self.i += 1
                 factors.append(Neg(self.parse_group()))
                 at_start = False
-            elif ch == "-" and at_start and _is_term_char(self.peek(1)):
+            elif ch == "-" and at_start and self.peek(1).isdigit():
                 self.i += 1
-                terms.extend(_negate_term(t) for t in self.parse_term_run())
+                terms.extend(-t for t in self.parse_term_run())
                 at_start = False
-            elif _is_term_char(ch):
+            elif ch.isdigit():
                 terms.extend(self.parse_term_run())
                 at_start = False
             else:
@@ -229,26 +211,18 @@ class _Parser:
         return Prod(tuple(factors))
 
     def parse_term_run(self):
-        """Space separated integers and parameters up to the next break."""
+        """Space separated integers up to the next break."""
         run = [self.parse_term()]
-        while self.peek() == " " and _is_term_char(self.peek(1)):
+        while self.peek() == " " and self.peek(1).isdigit():
             self.i += 1
             run.append(self.parse_term())
         return run
 
     def parse_term(self):
-        ch = self.peek()
-        if ch.isdigit():
-            j = self.i
-            while self.peek().isdigit():
-                self.i += 1
-            return int(self.text[j:self.i])
-        if ch.isalpha() and ch.islower():
+        j = self.i
+        while self.peek().isdigit():
             self.i += 1
-            if _is_term_char(self.peek()):
-                self.error("parameter names are single letters")
-            return Param(ch)
-        self.error("expected an integer or parameter")
+        return int(self.text[j:self.i])
 
     def parse_group(self):
         if self.peek() != "(":
@@ -267,35 +241,33 @@ class _Parser:
         return inner
 
 
-def _negate_term(t):
-    if isinstance(t, Param):
-        return replace(t, negated=not t.negated)
-    return -t
-
-
-def _split_slots(text):
-    """Split a polyhedral body on top level dots, reading ':' as '.1.'."""
-    segs = []
-    cur = []
+def _split_slots(text, start):
+    """Spans (i, j) of the slots of text[start:], split on top level
+    dots; a ':' reads as '.1.', its middle slot the empty span."""
+    spans = []
     depth = 0
-    for ch in text:
+    for j in range(start, len(text)):
+        ch = text[j]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in ".:" and depth == 0:
-            segs.append("".join(cur))
+        elif ch in ".:" and depth == 0:
+            spans.append((start, j))
             if ch == ":":
-                segs.append("1")
-            cur = []
-        else:
-            cur.append(ch)
-    segs.append("".join(cur))
-    return segs
+                spans.append((j, j))
+            start = j + 1
+    spans.append((start, len(text)))
+    return spans
 
 
 def parse(text: str):
-    """Parse a Conway symbol into its syntax tree."""
+    """Parse a Conway symbol into its syntax tree.
+
+    The pos of a ConwaySyntaxError indexes the symbol after its ends are
+    stripped of whitespace and each inner run of whitespace is collapsed
+    to one space.
+    """
     src = re.sub(r"\s+", " ", text.strip())
     if not src:
         raise ConwaySyntaxError("empty symbol")
@@ -304,12 +276,14 @@ def parse(text: str):
     if basis not in BASIS_VERTICES:
         raise UnknownBasisError("unknown basic polyhedron %r" % basis)
     slots = []
-    for seg in _split_slots(src[m.end():] if m else src):
-        seg = seg.strip()
-        if not seg:
-            slots.append(_ONE)
+    for i, j in _split_slots(src, m.end() if m else 0):
+        seg = src[i:j]
+        i += len(seg) - len(seg.lstrip())
+        j -= len(seg) - len(seg.rstrip())
+        if i >= j:
+            slots.append(_ONE)  # an empty slot, or the middle of a ':'
             continue
-        p = _Parser(seg)
+        p = _Parser(src, i, j)
         slots.append(p.parse_ram())
         p.expect_end()
     if not m and len(slots) == 1:
@@ -322,176 +296,10 @@ def parse(text: str):
     return Poly(basis, tuple(slots), m is not None)
 
 
-def _lead_run(k):
-    return ":" * (k // 2) + ("." if k % 2 else "")
-
-
-def _mid_run(k):
-    return ":" * ((k + 1) // 2) + ("." if k % 2 == 0 else "")
-
-
-def _abs_term_str(t):
-    if isinstance(t, Param):
-        return t.name
-    return str(abs(t))
-
-
-def _term_str(t):
-    if isinstance(t, Param):
-        return ("-" if t.negated else "") + t.name
-    return str(t)
-
-
-def _is_negative_term(t):
-    if isinstance(t, Param):
-        return t.negated
-    return t < 0
-
-
-def _render_seq(node):
-    head = node.terms[0]
-    if _is_negative_term(head) and head != -1 and all(
-            _is_negative_term(t) or t == 0 for t in node.terms):
-        return "-" + " ".join(_abs_term_str(t) for t in node.terms)
-    return " ".join(_term_str(t) for t in node.terms)
-
-
-def _render_run(run):
-    if isinstance(run, Param):
-        return "+" + _term_str(run)
-    if run > 0:
-        return "+" * run
-    return "-" * -run
-
-
-def _render_ram_body(node):
-    out = []
-    for part, run in zip(node.parts, node.runs):
-        if isinstance(part, Ram):
-            s = "(" + _render_ram_body(part) + ")"
-        else:
-            s = _render_tangle(part)
-        out.append(s + _render_run(run))
-    return ",".join(out)
-
-
-def _render_tangle(node):
-    if isinstance(node, Seq):
-        return _render_seq(node)
-    if isinstance(node, Param):
-        return _term_str(node)
-    if isinstance(node, Ram):
-        body = _render_ram_body(node)
-        return "(" + body + ")" if node.wrapped else body
-    if isinstance(node, Prod):
-        out = []
-        for f in node.factors:
-            s = _render_tangle(f)
-            if isinstance(f, Ram):
-                s = "(" + _render_ram_body(f) + ")"
-            out.append(s)
-        return " ".join(out)
-    if isinstance(node, Neg):
-        inner = node.inner
-        body = _render_ram_body(inner) if isinstance(inner, Ram) else _render_tangle(inner)
-        return "-(" + body + ")"
-    raise TypeError("cannot render %r here" % type(node).__name__)
-
-
-def render(node) -> str:
-    """Write a syntax tree back as a Conway symbol."""
-    if not isinstance(node, Poly):
-        return _render_tangle(node)
-    slots = list(node.slots)
-    last = -1
-    for j, s in enumerate(slots):
-        if s != _ONE:
-            last = j
-    if last < 0:
-        return node.basis
-    out = []
-    pending = 0
-    started = False
-    for s in slots[:last + 1]:
-        if s == _ONE:
-            pending += 1
-            continue
-        out.append(_mid_run(pending) if started else _lead_run(pending))
-        body = _render_tangle(s)
-        if isinstance(s, Ram) and s.wrapped:
-            body = "(" + _render_ram_body(s) + ")"
-        out.append(body)
-        started = True
-        pending = 0
-    text = "".join(out)
-    prefix = node.basis if (node.basis_shown or node.basis != "6*") else ""
-    if not prefix and "." not in text and ":" not in text:
-        prefix = node.basis
-    return prefix + text
-
-
-def walk(node):
-    """Yield node and every descendant."""
-    yield node
-    if isinstance(node, Seq):
-        for t in node.terms:
-            if isinstance(t, Param):
-                yield t
-    elif isinstance(node, Ram):
-        for p in node.parts:
-            yield from walk(p)
-        for r in node.runs:
-            if isinstance(r, Param):
-                yield r
-    elif isinstance(node, Prod):
-        for f in node.factors:
-            yield from walk(f)
-    elif isinstance(node, Neg):
-        yield from walk(node.inner)
-    elif isinstance(node, Poly):
-        for s in node.slots:
-            yield from walk(s)
-
-
-def parameters(node):
-    """Sorted names of the parameters appearing in a symbol."""
-    return sorted({n.name for n in walk(node) if isinstance(n, Param)})
-
-
-def substitute(node, values: dict):
-    """Replace named parameters by integers throughout a symbol."""
-
-    def term(t):
-        if isinstance(t, Param):
-            if t.name not in values:
-                raise MissingParameterError(t.name)
-            v = int(values[t.name])
-            return -v if t.negated else v
-        return t
-
-    if isinstance(node, Seq):
-        return Seq(tuple(term(t) for t in node.terms))
-    if isinstance(node, Param):
-        return Seq((term(node),))
-    if isinstance(node, Ram):
-        return replace(node,
-                       parts=tuple(substitute(p, values) for p in node.parts),
-                       runs=tuple(term(r) for r in node.runs))
-    if isinstance(node, Prod):
-        return Prod(tuple(substitute(f, values) for f in node.factors))
-    if isinstance(node, Neg):
-        return Neg(substitute(node.inner, values))
-    if isinstance(node, Poly):
-        return replace(node, slots=tuple(substitute(s, values) for s in node.slots))
-    raise TypeError(type(node).__name__)
-
-
 def mirror_expr(node):
     """Mirror image of a symbol, every crossing switched."""
     if isinstance(node, Seq):
-        return Seq(tuple(_negate_term(t) for t in node.terms))
-    if isinstance(node, Param):
-        return replace(node, negated=not node.negated)
+        return Seq(tuple(-t for t in node.terms))
     if isinstance(node, Ram):
         return Ram(tuple(mirror_expr(p) for p in ram_summands(node)),
                    wrapped=node.wrapped)
@@ -513,52 +321,12 @@ def ram_summands(node):
     out = []
     for part, run in zip(node.parts, node.runs):
         out.append(part)
-        if isinstance(run, Param):
-            raise MissingParameterError(run.name)
         if run < 0:
             for j in range(len(out) + run, len(out)):
                 out[j] = mirror_expr(out[j])
         else:
             out.extend([_ONE] * run)
     return out
-
-
-def normalize(node):
-    """Resolve twist marks so that equal tangles compare equal."""
-    if isinstance(node, Ram):
-        return Ram(tuple(normalize(p) for p in ram_summands(node)))
-    if isinstance(node, Prod):
-        return Prod(tuple(normalize(f) for f in node.factors))
-    if isinstance(node, Neg):
-        return Neg(normalize(node.inner))
-    if isinstance(node, Poly):
-        return replace(node, slots=tuple(normalize(s) for s in node.slots))
-    return node
-
-
-def symbol_crossings(node) -> int:
-    """Crossing count of the diagram a symbol denotes (before reduction)."""
-    if isinstance(node, Seq):
-        total = 0
-        for t in node.terms:
-            if isinstance(t, Param):
-                raise MissingParameterError(t.name)
-            total += abs(t)
-        return total
-    if isinstance(node, Ram):
-        total = sum(symbol_crossings(p) for p in node.parts)
-        for run in node.runs:
-            if isinstance(run, Param):
-                raise MissingParameterError(run.name)
-            total += max(run, 0)
-        return total
-    if isinstance(node, Prod):
-        return sum(symbol_crossings(f) for f in node.factors)
-    if isinstance(node, Neg):
-        return symbol_crossings(node.inner)
-    if isinstance(node, Poly):
-        return sum(symbol_crossings(s) for s in node.slots)
-    raise TypeError(type(node).__name__)
 
 
 def cf_pair(terms) -> tuple:
@@ -569,8 +337,6 @@ def cf_pair(terms) -> tuple:
     """
     p, q = None, None
     for t in terms:
-        if isinstance(t, Param):
-            raise MissingParameterError(t.name)
         if p is None:
             p, q = t, 1
         else:
@@ -596,13 +362,13 @@ def tangle_fraction(node) -> tuple:
         terms = []
         for f in node.factors:
             if not isinstance(f, Seq):
-                raise NotRationalTangleError(render(node))
+                raise NotRationalTangleError(repr(node))
             terms.extend(f.terms)
         return cf_pair(terms)
     if isinstance(node, Neg):
         p, q = tangle_fraction(node.inner)
         return -p, q
-    raise NotRationalTangleError(render(node))
+    raise NotRationalTangleError(repr(node))
 
 
 @dataclass(frozen=True)
@@ -674,14 +440,14 @@ def montesinos_to_conway(spec: MontesinosSpec):
 def conway_to_montesinos(node) -> MontesinosSpec:
     """Read a comma join of rational tangles as a Montesinos link."""
     if not isinstance(node, Ram):
-        raise NotMontesinosFormError(render(node))
+        raise NotMontesinosFormError(repr(node))
     e = 0
     branches = []
     for part in ram_summands(node):
         try:
             p, q = tangle_fraction(part)
         except NotRationalTangleError:
-            raise NotMontesinosFormError(render(node))
+            raise NotMontesinosFormError(repr(node))
         if q == 0:
             raise NotMontesinosFormError("infinity part")
         if p in (1, -1) and q == 1:

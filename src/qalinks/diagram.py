@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from qalinks import conway
-from qalinks.conway import MissingParameterError, Neg, Param, Poly, Prod, Ram, Seq
+from qalinks.conway import Neg, Poly, Prod, Ram, Seq
 
 
 class DisconnectedDiagramError(ValueError):
@@ -203,13 +203,9 @@ def _expr_tangle(node) -> Tangle:
     if isinstance(node, Seq):
         t = None
         for term in node.terms:
-            if isinstance(term, Param):
-                raise MissingParameterError(term.name)
             nxt = int_tangle(term)
             t = nxt if t is None else add(transpose(t), nxt)
         return t
-    if isinstance(node, Param):
-        raise MissingParameterError(node.name)
     if isinstance(node, Prod):
         t = _expr_tangle(node.factors[0])
         for f in node.factors[1:]:
@@ -680,57 +676,6 @@ def r3_moves(d: LinkDiagram, back=None, labels=None):
             out.append((LinkDiagram(d.n, moved, d.loops), sa_ext))
             break
     return out
-
-
-# --- crossing extension ----------------------------------------------
-
-class ExtensionSignMismatch(ValueError):
-    """Tangle entries must all carry the sign of the replaced crossing."""
-
-
-@dataclass(frozen=True)
-class ExtensionSpec:
-    crossing: int
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries or any(a == 0 for a in self.entries):
-            raise ValueError("entries must be nonzero integers")
-
-
-# Corner frames: where the tangle corners land on the plugs of the
-# replaced crossing, per crossing sign.  With these frames the single
-# tangle with the crossing's own sign glues back to the identical
-# diagram, which pins the convention.
-_FRAME = {
-    1: {"SE": 0, "NE": 1, "NW": 2, "SW": 3},
-    -1: {"SE": 1, "NE": 2, "NW": 3, "SW": 0},
-}
-
-
-def extend(d: LinkDiagram, spec: ExtensionSpec) -> LinkDiagram:
-    """Replace a crossing with the twist tangle of spec.entries.
-
-    The entries must all carry the sign of the replaced crossing,
-    making the inserted rational tangle alternate with its
-    surroundings; crossing count grows by sum(|entries|) - 1.
-    """
-    c = spec.crossing
-    if not 0 <= c < d.n:
-        raise ValueError("no crossing %r" % (c,))
-    sign = crossing_signs(d)[c]
-    if any(sign * a < 1 for a in spec.entries):
-        raise ExtensionSignMismatch(
-            "entries %r do not extend a crossing of sign %+d"
-            % (list(spec.entries), sign))
-    t = _expr_tangle(Seq(spec.entries))
-    arcs = dict(enumerate(d.adj))
-    arcs.update(_tangle_arcs(t, range(d.n, d.n + t.n)))
-    frame = _FRAME[sign]
-    arcs, loops = fuse(arcs, [(corner, 4 * c + s)
-                              for corner, s in frame.items()])
-    return _closed(d.n + t.n, arcs, d.loops + t.loops + len(loops), {c})
 
 
 # --- faces and codes -------------------------------------------------

@@ -56,6 +56,11 @@ connector chains and copies the other arcs.  arithmetic_find_kink and
 arithmetic_find_bigon find the kink and bigon with the smallest plug
 by crossing and slot arithmetic; the package tests plug bits.
 
+render writes a syntax tree back as its symbol, normalize resolves
+a comma join's twist marks, and symbol_crossings counts a symbol's
+crossings before reduction; the package reads symbols and never
+writes them, so these live here with the tests that read them.
+
 copying_smooth and copying_reduce_once smooth a crossing and remove a
 kink or bigon on a dict copy of the plug table with walk_fuse and the
 arithmetic finders, deleting a bigon's two arcs before fusing the
@@ -63,10 +68,11 @@ crossings' outer plugs; the package passes the table to fuse as it is
 and fuses a bigon straight through.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from qalinks import conway
-from qalinks.conway import Neg, Param, Poly, Prod, Ram, Seq
+from qalinks.conway import Neg, Poly, Prod, Ram, Seq, ram_summands
 from qalinks.diagram import (
     DisconnectedDiagramError, LinkDiagram, _closed, _through, crossing_signs,
     graph_components,
@@ -76,6 +82,125 @@ from qalinks.invariants import LaurentPoly
 
 class OracleUnsupported(Exception):
     pass
+
+
+# --- symbol writers ----------------------------------------------------
+
+_ONE = Seq((1,))
+
+
+def _lead_run(k):
+    return ":" * (k // 2) + ("." if k % 2 else "")
+
+
+def _mid_run(k):
+    return ":" * ((k + 1) // 2) + ("." if k % 2 == 0 else "")
+
+
+def _render_seq(node):
+    head = node.terms[0]
+    if head < 0 and head != -1 and all(t <= 0 for t in node.terms):
+        return "-" + " ".join(str(-t) for t in node.terms)
+    return " ".join(str(t) for t in node.terms)
+
+
+def _render_run(run):
+    if run > 0:
+        return "+" * run
+    return "-" * -run
+
+
+def _render_ram_body(node):
+    out = []
+    for part, run in zip(node.parts, node.runs):
+        if isinstance(part, Ram):
+            s = "(" + _render_ram_body(part) + ")"
+        else:
+            s = _render_tangle(part)
+        out.append(s + _render_run(run))
+    return ",".join(out)
+
+
+def _render_tangle(node):
+    if isinstance(node, Seq):
+        return _render_seq(node)
+    if isinstance(node, Ram):
+        body = _render_ram_body(node)
+        return "(" + body + ")" if node.wrapped else body
+    if isinstance(node, Prod):
+        out = []
+        for f in node.factors:
+            s = _render_tangle(f)
+            if isinstance(f, Ram):
+                s = "(" + _render_ram_body(f) + ")"
+            out.append(s)
+        return " ".join(out)
+    if isinstance(node, Neg):
+        inner = node.inner
+        body = _render_ram_body(inner) if isinstance(inner, Ram) else _render_tangle(inner)
+        return "-(" + body + ")"
+    raise TypeError("cannot render %r here" % type(node).__name__)
+
+
+def render(node) -> str:
+    """Write a syntax tree back as a Conway symbol."""
+    if not isinstance(node, Poly):
+        return _render_tangle(node)
+    slots = list(node.slots)
+    last = -1
+    for j, s in enumerate(slots):
+        if s != _ONE:
+            last = j
+    if last < 0:
+        return node.basis
+    out = []
+    pending = 0
+    started = False
+    for s in slots[:last + 1]:
+        if s == _ONE:
+            pending += 1
+            continue
+        out.append(_mid_run(pending) if started else _lead_run(pending))
+        body = _render_tangle(s)
+        if isinstance(s, Ram) and s.wrapped:
+            body = "(" + _render_ram_body(s) + ")"
+        out.append(body)
+        started = True
+        pending = 0
+    text = "".join(out)
+    prefix = node.basis if (node.basis_shown or node.basis != "6*") else ""
+    if not prefix and "." not in text and ":" not in text:
+        prefix = node.basis
+    return prefix + text
+
+
+def normalize(node):
+    """Resolve twist marks so that equal tangles compare equal."""
+    if isinstance(node, Ram):
+        return Ram(tuple(normalize(p) for p in ram_summands(node)))
+    if isinstance(node, Prod):
+        return Prod(tuple(normalize(f) for f in node.factors))
+    if isinstance(node, Neg):
+        return Neg(normalize(node.inner))
+    if isinstance(node, Poly):
+        return replace(node, slots=tuple(normalize(s) for s in node.slots))
+    return node
+
+
+def symbol_crossings(node) -> int:
+    """Crossing count of the diagram a symbol denotes (before reduction)."""
+    if isinstance(node, Seq):
+        return sum(abs(t) for t in node.terms)
+    if isinstance(node, Ram):
+        return (sum(symbol_crossings(p) for p in node.parts)
+                + sum(max(run, 0) for run in node.runs))
+    if isinstance(node, Prod):
+        return sum(symbol_crossings(f) for f in node.factors)
+    if isinstance(node, Neg):
+        return symbol_crossings(node.inner)
+    if isinstance(node, Poly):
+        return sum(symbol_crossings(s) for s in node.slots)
+    raise TypeError(type(node).__name__)
 
 
 def cf_value(terms):
@@ -103,8 +228,6 @@ def _mirror(node):
 def _summands(ram):
     out = []
     for part, run in zip(ram.parts, ram.runs):
-        if isinstance(run, Param):
-            raise OracleUnsupported("parameter run")
         out.append(part)
         if run < 0:
             out[run:] = [_mirror(p) for p in out[run:]]
@@ -122,8 +245,6 @@ def tangle_pair(node):
     if isinstance(node, Seq):
         pair = None
         for t in node.terms:
-            if isinstance(t, Param):
-                raise OracleUnsupported("parameter")
             if pair is None:
                 pair = (t, 1)
             else:

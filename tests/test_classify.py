@@ -1,4 +1,5 @@
-"""Classifier tests: adequacy, Jones pattern, predicates, conditions."""
+"""Classifier tests: adequacy, the Jones sign and gap pattern, the
+Montesinos QA predicate, and thickness evidence."""
 
 import importlib.util
 from math import gcd
@@ -10,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 from qalinks import classify as C
 from qalinks import diagram as D
 from qalinks.conway import (
-    MissingParameterError, MontesinosSpec, NotMontesinosFormError,
-    conway_to_montesinos, montesinos_to_conway, parse, substitute,
-    tangle_fraction,
+    MontesinosSpec, NotMontesinosFormError, conway_to_montesinos,
+    montesinos_to_conway, parse, tangle_fraction,
 )
 from qalinks.homology import khovanov_f2, thinness
 from qalinks.invariants import LaurentPoly, jones
@@ -193,12 +193,6 @@ class TestMontesinosPredicate:
             with pytest.raises(NotMontesinosFormError):
                 montesinos_to_conway(spec)
 
-    def test_needs_concrete_parameters(self):
-        with pytest.raises(MissingParameterError):
-            montesinos_qa("p,3,-2")
-        spec = conway_to_montesinos(substitute(parse("p,3,-2"), {"p": 5}))
-        assert C.montesinos_qa(spec) is False
-
     @given(montesinos_specs(), st.integers(0, 3), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_mirror_and_branch_order_invariance(self, spec, shift, flip):
@@ -230,35 +224,6 @@ class TestMontesinosPredicate:
         assert not any(montesinos_qa(s) for s in montesinos)
         with pytest.raises(NotMontesinosFormError):
             montesinos_qa(product)
-
-
-class TestFamilyConditions:
-    @pytest.mark.parametrize("cond,assignment,want", [
-        ("min(q,r)>p", dict(p=2, q=3, r=3), True),
-        ("max(p,q)<=min(r,s)", dict(p=2, q=2, r=2, s=2), True),
-        ("min(p,q,r)>=3", dict(p=2, q=3, r=3), False),
-        ("p>q>=2", dict(p=3, q=2), True),
-        ("p>q>=2", dict(p=2, q=2), False),
-        ("p=2", dict(p=2), True),
-        ("p=2", dict(p=3), False),
-        ("q>r and s>r", dict(q=3, r=2, s=3), True),
-        ("q>r and s>r", dict(q=3, r=3, s=4), False),
-        ("p+q>=5", dict(p=2, q=3), True),
-    ])
-    def test_evaluation(self, cond, assignment, want):
-        assert C.eval_family_condition(cond, assignment) is want
-
-    def test_missing_parameter(self):
-        with pytest.raises(MissingParameterError):
-            C.eval_family_condition("min(q,r)>p", dict(p=2, q=3))
-
-    @pytest.mark.parametrize("cond", [
-        "__import__('os')", "p ** q", "(lambda: 1)()", "p if q else r",
-        "abs(p)>1", "'x'=='x'",
-    ])
-    def test_rejects_everything_else(self, cond):
-        with pytest.raises(ValueError):
-            C.eval_family_condition(cond, dict(p=2, q=2, r=2))
 
 
 class TestThicknessEvidence:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,17 +7,20 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import normalize, render, symbol_crossings
 from qalinks import conway
 from qalinks.conway import (
-    ConwaySyntaxError, MissingParameterError, MontesinosSpec, Neg,
-    NotMontesinosFormError, NotRationalTangleError, Param, Poly, Prod, Ram,
-    Seq, UnknownBasisError, VertexArityError, cf_pair, conway_to_montesinos,
-    mirror_expr, montesinos_canonical, montesinos_det, montesinos_to_conway,
-    montesinos_value, normalize, parameters, parse, positive_cf_terms,
-    ram_summands, render, substitute, symbol_crossings, tangle_fraction,
+    ConwaySyntaxError, MontesinosSpec, Neg, NotMontesinosFormError,
+    NotRationalTangleError, Poly, Prod, Ram, Seq, UnknownBasisError,
+    VertexArityError, cf_pair, conway_to_montesinos, mirror_expr,
+    montesinos_canonical, montesinos_det, montesinos_to_conway,
+    montesinos_value, parse, positive_cf_terms, ram_summands,
+    tangle_fraction,
 )
 
-# symbols that appear across the working corpus, in the exact source styling
+# symbols that appear across the working corpus, in the exact source
+# styling; in a family's symbol the letters p..t stand for twist counts,
+# and "+r" for a run of r "+" marks
 CORPUS = [
     "2", "3", "2 2", "3 1 2", "2 1 1 2", "-2 2,2 2,3", "2 1 2,2 1 1,-2 1",
     "2 1 2,-2 2,3", "-2 1 1 1,2 1 1,3", "3,3,2-", "3,3,-3", "4,3,-3",
@@ -69,8 +73,19 @@ CORPUS = [
 ]
 
 
+VALUES = dict(zip("pqrst", range(2, 7)))
+
+
+def instance(text):
+    """The integer member p, q, r, s, t = 2, ..., 6 of a corpus symbol,
+    the symbol the round trip reads; a family's letters do not parse."""
+    text = re.sub(r"\+([p-t])", lambda m: "+" * VALUES[m[1]], text)
+    return re.sub(r"[p-t]", lambda m: str(VALUES[m[0]]), text)
+
+
 @pytest.mark.parametrize("text", CORPUS)
 def test_corpus_round_trip(text):
+    text = instance(text)
     ast = parse(text)
     out = render(ast)
     assert out == text
@@ -83,8 +98,8 @@ def test_seq_shapes():
     assert parse("-2 2") == Seq((-2, -2))
     assert parse("-3 0") == Seq((-3, 0))
     assert parse("-2 1 0") == Seq((-2, -1, 0))
-    assert parse("p q") == Seq((Param("p"), Param("q")))
-    assert parse("-p q") == Seq((Param("p", True), Param("q", True)))
+    assert parse("2 3") == Seq((2, 3))
+    assert parse("-2 3") == Seq((-2, -3))
 
 
 def test_ram_shapes():
@@ -92,17 +107,17 @@ def test_ram_shapes():
     assert t == Ram((Seq((2,)), Seq((3,))))
     t = parse("3,3,2-")
     assert t.runs == (0, 0, -1)
-    t = parse("p,q,r,s--")
+    t = parse("2,3,4,5--")
     assert t.runs == (0, 0, 0, -2)
     t = parse("(2,2+)")
     assert t == Ram((Seq((2,)), Seq((2,))), (0, 1))
     assert t.wrapped
     assert t.trailing_twists == 1
-    t = parse("(p,q-),r+,(s,t-)")
+    t = parse("(2,3-),4+,(5,6-)")
     assert t.runs == (0, 1, 0)
     assert t.parts[0].runs == (0, -1)
-    t = parse("(p,q-) (r 1,s+t)")
-    assert t.factors[1].runs == (0, Param("t"))
+    t = parse("(2,3-) (4 1,5++++++)")
+    assert t.factors[1].runs == (0, 6)
 
 
 def test_product_shapes():
@@ -113,7 +128,7 @@ def test_product_shapes():
     assert second == Neg(Ram((Seq((2, 1)), Seq((2,)))))
     # bare integers merge into one rational factor
     assert parse("(2,2) 2 1").factors[1] == Seq((2, 1))
-    assert parse("(p,q) -1 -1 (r,s)").factors[1] == Seq((-1, -1))
+    assert parse("(2,3) -1 -1 (4,5)").factors[1] == Seq((-1, -1))
 
 
 def test_polyhedral_shapes():
@@ -128,18 +143,31 @@ def test_polyhedral_shapes():
     assert parse("8*2:2:2") == parse("8*2.1.2.1.2.1.1.1")
     assert parse(":.2") == parse("6*1.1.1.2")
     assert parse("6*") == parse(".1")
-    assert len(parse("10***p::-1.-1.-1.-1:-1").slots) == 10
+    assert len(parse("10***2::-1.-1.-1.-1:-1").slots) == 10
 
 
 def test_parse_errors():
     for bad in ["", "2,,3", "(2,2", "2)", "pq", "2,2+-", "2,2---",
-                "12*2.2", "6*2.2.2.2.2.2.2", "-", "2 -", "()", "2..2.(2:2)"]:
+                "12*2.2", "6*2.2.2.2.2.2.2", "-", "2 -", "()", "2..2.(2:2)",
+                "p", "2,p", "-p 1", "2,2+3", "6*p.2"]:
         with pytest.raises(ConwaySyntaxError):
             parse(bad)
     with pytest.raises(UnknownBasisError):
         parse("7*2.2")
     with pytest.raises(VertexArityError):
         parse("6*2.2.2.2.2.2.2.2")
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("(2,2", 4), ("2,2+3", 4), ("6*2.2.(2", 8), ("6*2.2.2 2)", 9),
+    ("  6*2.  2.2 2)", 10), ("2.-3 0.(2", 9),
+])
+def test_parse_error_positions(text, pos):
+    # pos indexes the symbol with its whitespace stripped and collapsed,
+    # slot offsets included
+    with pytest.raises(ConwaySyntaxError) as err:
+        parse(text)
+    assert err.value.pos == pos
 
 
 def test_cf_pair_table():
@@ -179,20 +207,10 @@ def test_tangle_fraction_flattens_products():
         tangle_fraction(parse("2,2"))
 
 
-def test_substitute_family_members():
-    fam = parse("p,q,r-")
-    assert render(substitute(fam, {"p": 2, "q": 2, "r": 2})) == "2,2,2-"
-    assert render(substitute(parse("(p,q-) (r 1,s+t)"),
-                             dict(p=2, q=3, r=2, s=2, t=2))) == "(2,3-) (2 1,2++)"
-    with pytest.raises(MissingParameterError):
-        substitute(fam, {"p": 2, "q": 2})
-    assert parameters(parse("(p,q-) (r 1,s+t)")) == list("pqrst")
-
-
 def test_normalize_resolves_marks():
     assert normalize(parse("3,3,2-")) == normalize(parse("3,3,-2"))
     assert normalize(parse("2,2+")) == normalize(parse("2,2,1"))
-    assert normalize(parse("p,q,r,s--")) == normalize(parse("p,q,-r,-s"))
+    assert normalize(parse("2,3,4,5--")) == normalize(parse("2,3,-4,-5"))
     assert normalize(parse("(2,2++)")) == normalize(parse("2,2,1,1"))
 
 
@@ -303,8 +321,7 @@ def test_positive_cf_expansion_inverts(a, b):
 
 # property: parse(render(ast)) == ast over generated canonical trees
 
-_params = st.sampled_from("pqrst").map(Param)
-_terms = st.one_of(st.integers(1, 9), _params)
+_terms = st.integers(1, 9)
 
 
 @st.composite
@@ -313,7 +330,7 @@ def seq_nodes(draw):
     if draw(st.booleans()):
         terms = terms + [0]
     if draw(st.booleans()):
-        terms = [conway._negate_term(t) for t in terms]
+        terms = [-t for t in terms]
     return Seq(tuple(terms))
 
 

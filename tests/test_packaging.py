@@ -1,7 +1,8 @@
 """pyproject.toml names only files and modules that exist, every
 committed bench record claims a workload and metric of the benchmark,
-the package's unreferenced public names can only shrink, and no module
-of the package reads another module's private names."""
+the package's unreferenced public names can only shrink, no module
+of the package reads another module's private names, and none imports
+a name it never reads."""
 
 import ast
 import importlib
@@ -53,13 +54,12 @@ def test_bench_records_claim_a_benchmark_metric():
 
 
 # Public top-level names of src/qalinks that nothing in src/ or
-# perfbench/ refers to; only tests call them.  A family sweep is meant
-# to become the caller of the Montesinos and family-condition helpers.
+# perfbench/ refers to; only tests call them.  A sweep over the
+# Montesinos families is meant to become the caller of the Montesinos
+# helpers.
 UNREFERENCED = {
     "certificate_from_dict", "conway_to_montesinos", "d_squared_zero",
-    "eval_family_condition", "mirror", "montesinos_qa",
-    "montesinos_to_conway", "normalize", "parameters", "substitute",
-    "symbol_crossings",
+    "mirror", "montesinos_qa", "montesinos_to_conway",
 }
 
 
@@ -68,9 +68,9 @@ def test_unreferenced_public_names_are_pinned():
     definition, over every module of src/ and perfbench/.
 
     The check is conservative: any Name or Attribute with the same
-    identifier counts as a reference, so `extend` is kept alive by
-    `list.extend`, and a reference from code that is itself unused
-    still counts.  The set may only shrink: delete a name or give it a
+    identifier counts as a reference, so a function named like a method
+    that some module calls (`append`, `update`) would pass unseen, and
+    a reference from code that is itself unused still counts.  The set may only shrink: delete a name or give it a
     caller, then drop it here.
     """
     defined, uses = {}, []
@@ -153,3 +153,33 @@ def test_no_module_reads_another_modules_private_names():
     assert foreign_private_names(reads, "invariants") == [
         "_table", "_through", "_pair", "_fields"]
     assert foreign_private_names(reads, "diagram") == []
+
+
+def unread_imports(source):
+    """Names a module imports and never reads; a name listed in the
+    module's __all__ counts as read, and __future__ imports are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            read.update(ast.literal_eval(stmt.value))
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    for path in sorted((ROOT / "src" / "qalinks").glob("*.py")):
+        assert unread_imports(path.read_text()) == [], path.name
+    # the check sees each form of import, and each form of reading one
+    sample = ("from __future__ import annotations\nimport ast\nimport re\n"
+              "import os.path\nfrom .conway import Seq, Param as P\n"
+              "x = re.sub, os.path.join\ndef f(s: Seq): pass\n")
+    assert unread_imports(sample) == ["ast", "P"]
+    assert unread_imports("from . import conway\n__all__ = ['conway']\n") == []

@@ -11,7 +11,6 @@ import pytest
 from qalinks import diagram as D
 from qalinks import qa
 from qalinks.invariants import LaurentPoly, determinant, jones
-from qalinks.diagram import ExtensionSignMismatch, ExtensionSpec, extend
 from qalinks.qa import (
     QACertificate, SearchConfig, certificate_from_dict, certificate_to_dict,
     qa_search, verify_certificate,
@@ -611,69 +610,6 @@ def test_budget_exhaustion_is_reported():
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         run("2", node_budget=0)
-
-
-# --- crossing extension -----------------------------------------------
-
-
-def test_extend_identity_positive_and_negative():
-    # both handedness cases: a single twist of the crossing's own sign
-    # glues back to the identical diagram
-    for sym in ("3", "-3"):
-        d = D.build(sym)
-        sign = D.crossing_signs(d)[0]
-        out = extend(d, ExtensionSpec(0, (sign,)))
-        assert D.canonical_code(out) == D.canonical_code(d)
-        assert {D.crossing_signs(d)[c] for c in range(d.n)} == {sign}
-
-
-def test_extend_twist_on_hopf_gives_trefoil():
-    d = D.build("2")
-    sign = D.crossing_signs(d)[0]
-    out = extend(d, ExtensionSpec(0, (2 * sign,)))
-    assert jones(out) == jones(D.build("-3" if sign < 0 else "3"))
-
-
-def test_extend_rejects_sign_mismatch():
-    d = D.build("2")
-    sign = D.crossing_signs(d)[0]
-    with pytest.raises(ExtensionSignMismatch):
-        extend(d, ExtensionSpec(0, (-2 * sign,)))
-    with pytest.raises(ExtensionSignMismatch):
-        extend(d, ExtensionSpec(0, (sign, -sign)))
-
-
-def test_extend_rejects_bad_crossing_and_entries():
-    d = D.build("2")
-    with pytest.raises(ValueError):
-        extend(d, ExtensionSpec(7, (1,)))
-    with pytest.raises(ValueError):
-        ExtensionSpec(0, ())
-    with pytest.raises(ValueError):
-        ExtensionSpec(0, (1, 0))
-
-
-@pytest.mark.parametrize("entries", [(2,), (1, 1), (2, 1), (3,), (1, 2)])
-def test_extended_certified_diagrams_stay_certified(entries):
-    # extending a certified crossing preserves certifiability
-    d = D.simplify(D.build("3 2"))
-    out = qa_search(d)
-    assert out.certified
-    root = D.from_code(out.certificate.diagram_code)
-    c = out.certificate.chosen_crossing
-    sign = D.crossing_signs(root)[c]
-    spec = ExtensionSpec(c, tuple(sign * a for a in entries))
-    bigger = extend(root, spec)
-    grown = qa_search(bigger)
-    assert grown.certified
-    assert verify_certificate(grown.certificate)
-
-
-def test_extension_grows_crossing_number():
-    d = D.build("2")
-    sign = D.crossing_signs(d)[0]
-    out = extend(d, ExtensionSpec(0, (sign, sign, sign)))
-    assert out.n == d.n + 2  # sum of entries minus the consumed crossing
 
 
 # --- pretzel criterion -------------------------------------------------
