@@ -115,6 +115,12 @@ BASIS_VERTICES = {"6*": 6, "8*": 8, "9*": 9, "10*": 10, "10**": 10, "10***": 10}
 _ONE = Seq((1,))
 
 
+def _digit(ch):
+    """ch is one of 0-9; str.isdigit also takes digits such as "²" that
+    a symbol may not hold."""
+    return "0" <= ch <= "9"
+
+
 class _Parser:
     """Reads one tangle from text[i:end]; positions index all of text."""
 
@@ -178,8 +184,8 @@ class _Parser:
             ch = self.peek()
             if ch == " ":
                 nxt = self.peek(1)
-                if nxt == "(" or nxt.isdigit() or (
-                    nxt == "-" and (self.peek(2) == "(" or self.peek(2).isdigit())
+                if nxt == "(" or _digit(nxt) or (
+                    nxt == "-" and (self.peek(2) == "(" or _digit(self.peek(2)))
                 ):
                     self.i += 1
                     at_start = True
@@ -194,11 +200,11 @@ class _Parser:
                 self.i += 1
                 factors.append(Neg(self.parse_group()))
                 at_start = False
-            elif ch == "-" and at_start and self.peek(1).isdigit():
+            elif ch == "-" and at_start and _digit(self.peek(1)):
                 self.i += 1
                 terms.extend(-t for t in self.parse_term_run())
                 at_start = False
-            elif ch.isdigit():
+            elif _digit(ch):
                 terms.extend(self.parse_term_run())
                 at_start = False
             else:
@@ -213,14 +219,14 @@ class _Parser:
     def parse_term_run(self):
         """Space separated integers up to the next break."""
         run = [self.parse_term()]
-        while self.peek() == " " and self.peek(1).isdigit():
+        while self.peek() == " " and _digit(self.peek(1)):
             self.i += 1
             run.append(self.parse_term())
         return run
 
     def parse_term(self):
         j = self.i
-        while self.peek().isdigit():
+        while _digit(self.peek()):
             self.i += 1
         return int(self.text[j:self.i])
 
@@ -271,7 +277,7 @@ def parse(text: str):
     src = re.sub(r"\s+", " ", text.strip())
     if not src:
         raise ConwaySyntaxError("empty symbol")
-    m = re.match(r"\d+\*+", src)
+    m = re.match(r"[0-9]+\*+", src)
     basis = m.group(0) if m else "6*"
     if basis not in BASIS_VERTICES:
         raise UnknownBasisError("unknown basic polyhedron %r" % basis)

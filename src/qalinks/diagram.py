@@ -460,11 +460,6 @@ def writhe(d: LinkDiagram) -> int:
     return sum(crossing_signs(d))
 
 
-def mirror(d: LinkDiagram) -> LinkDiagram:
-    m = _plugs(range(d.n), _TURN)
-    return LinkDiagram(d.n, _table(d.n, enumerate(d.adj), m), d.loops)
-
-
 def is_alternating(d: LinkDiagram) -> bool:
     return all((a + b) % 2 == 1 for a, b in enumerate(d.adj))
 

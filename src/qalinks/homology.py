@@ -6,57 +6,52 @@ and (2,3) joined), the one smoothing is B, matching the bracket
 conventions in the invariants module.  A state with r one-smoothings
 sits in homological degree i = r - n_minus; a labeling of its circles
 with deg = (#unit - #x) sits in quantum degree j = deg + r + n_plus
-- 2*n_minus.  Both paths count ranks at (r, deg + r) and shift them
-once at the end, by crossing signs from the same traversal orientation
-the writhe uses, so the graded Euler characteristic lands exactly on
-(q + 1/q) times the Jones polynomial as stored next door.
+- 2*n_minus.
 
 Both paths compute reduced homology, x killed on a marked circle, and
-tensor it with V = F2[x]/x^2 for that circle: over F2 unreduced
-Khovanov homology is the reduced one tensored with V (A. Shumakovitch,
-Torsion of the Khovanov homology, arXiv:math/0405474, Cor. 3.2.C).
-The empty diagram has no circle to mark; its table {(0, 0): 1} is
-returned as is.
+count its ranks at (r, q), q = r + deg over the circles but the marked
+one, free loops left out.  One tail turns them into the table: over F2
+unreduced Khovanov homology is the reduced one tensored with
+V = F2[x]/x^2 for the marked circle (A. Shumakovitch, Torsion of the
+Khovanov homology, arXiv:math/0405474, Cor. 3.2.C), and a free loop
+tensors it with V once more, so each of these factors moves a rank to
+q - 1 and q + 1.  The tail then shifts the ranks once, by crossing
+signs from the same traversal orientation the writhe uses, so the
+graded Euler characteristic lands exactly on (q + 1/q) times the Jones
+polynomial as stored next door.  A diagram without crossings marks one
+of its free loops.  The empty diagram has no circle to mark; its table
+{(0, 0): 1} is returned as is.
 
 The cube.  Only the generators whose marked circle is labelled x are
-built.  The marked circle is circle 0 of every state: the circle
-through plug 0 when there are crossings (state_circles orders circles
-by their smallest plug), else the first free loop.  These generators
-span a subcomplex, because no edge takes the x off the marked circle:
-a merge sends x⊗1 to x and x⊗x to 0, a split sends x to x⊗x, and the
-circle the edge makes from the marked one is again the marked circle.
-The quotient, with the marked circle at 1, is the same complex two
-quantum degrees up, so each reduced rank at (i, j) is counted at j
-and again at j + 2.
+built.  The marked circle is circle 0 of every state, the circle
+through plug 0 (state_circles orders circles by their smallest plug).
+These generators span a subcomplex, because no edge takes the x off
+the marked circle: a merge sends x⊗1 to x and x⊗x to 0, a split sends
+x to x⊗x, and the circle the edge makes from the marked one is again
+the marked circle.  The quotient, with the marked circle at 1, is the
+same complex two quantum degrees up, which is the tail's factor V for
+the marked circle.  The cube serves fewer than SCAN_FROM crossings, so
+it is built whole, and each (r, q) block of it is ranked on its own.
 
 Each state's circles are kept as a byte string of plug -> circle
-labels; free loops take the last d.loops labels.  The A smoothing joins
-plugs (0,1) and (2,3), so flipping crossing c from A to B touches the
-circles a and b at plugs 4c and 4c + 2, and since state_circles numbers
-circles by their smallest plugs, the indices alone say what the flip
-does.  A merge (a < b) gives the merged circle index a and moves every
-circle above b down one.  A split (a = b) leaves index a to the part
-through a's smallest plug and inserts the other part at index w, one
-past the circles whose smallest plugs come before its own, moving every
-circle from w up one.  Only state 0 is walked whole, by
-diagram.circle_labels.  Every other state is labelled from a parent,
-the state with one of its B smoothings back at A, by this rule: a merge
-is one byte translate, a split one walk of the new circle through plug
-4c by diagram.state_circle, the diagram module's one state-circle walk,
-so a parent that merges is preferred.  The same rule maps each edge: a
+labels.  The A smoothing joins plugs (0,1) and (2,3), so flipping
+crossing c from A to B touches the circles a and b at plugs 4c and
+4c + 2, and since state_circles numbers circles by their smallest
+plugs, the indices alone say what the flip does.  A merge (a < b)
+gives the merged circle index a and moves every circle above b down
+one.  A split (a = b) leaves index a to the part through a's smallest
+plug and inserts the other part at index w, one past the circles whose
+smallest plugs come before its own, moving every circle from w up one.
+Only state 0 is walked whole, by diagram.circle_labels.  Every other
+state is labelled from a parent, the state with one of its B
+smoothings back at A, by this rule: a merge is one byte translate, a
+split one walk of the new circle through plug 4c by
+diagram.state_circle, the diagram module's one state-circle walk, so a
+parent that merges is preferred.  The same rule maps each edge: a
 labeling's image is a few shifts and masks of its bits, fixed by the
 source state's circle count and the touched indices alone, so the
 images of each such key are tabulated once per call and read by every
 edge with that key.
-
-The cube is built one level at a time.  The differential preserves
-j and raises the state weight r by one, so the states are grouped by
-r, and level r needs the column numbers of levels r and r + 1 only.
-Its rows, python-int bitmasks over the columns of level r + 1, are
-ranked block by block (each (r, j) block eliminates on its own), or
-composed with the level before them by d_squared_zero, and dropped
-before the next level is built: about two levels are held at once,
-not the whole complex.
 
 The scan (D. Bar-Natan, Fast Khovanov homology computations,
 arXiv:math/0606318), over F2.  The crossings are added in
@@ -87,8 +82,7 @@ entry a -> b (the same matching and q) is eliminated: over F2 each
 entry s -> t gains the composite of s -> b and a -> t, and a and b go.
 Once every crossing is placed only the cut arc is left, and an entry
 between two of its copies could only be an identity, so none is left:
-each object at (h, q) is one reduced generator, counted at q - 1 and
-q + 1 for the marked circle and once more so for each free loop.
+each object at (h, q) is one reduced generator.
 
 The scan's work grows with the matchings of the open ends rather than
 with 2^n, but each object costs far more than a cube labeling, so
@@ -103,11 +97,13 @@ The size caps are the module constants CROSSING_CAP and DIM_CAP; a
 diagram over either raises SizeLimitError before the complex is
 built, and before crossing_signs is called.  DIM_CAP bounds the
 unreduced dimension, the sum of 2^k over the states with k circles,
-on both paths: the cube sums it over its labelled states, the scan
-from a count per matching of the states reaching it, each weighed by
-2^(loops closed), as the bracket's scan counts them.  The caps refuse
-a diagram by the size of its homology's full cube, whichever complex
-computes it.
+free loops counted, on both paths by one formula: the reduced
+generators, 2^(k - 1) per state, times 2 for the marked circle and for
+each free loop.  The cube counts them over its labelled states, the
+scan from a count per matching of the states reaching it, each weighed
+by 2^(loops closed), as the bracket's scan counts them.  The caps
+refuse a diagram by the size of its homology's full cube, whichever
+complex computes it.
 """
 
 from __future__ import annotations
@@ -129,17 +125,17 @@ def khovanov_f2(d: LinkDiagram) -> dict:
     """Ranks of F2 Khovanov homology as a map (i, j) -> dimension."""
     if not d.n and not d.loops:  # the empty link: no circle to mark
         return {(0, 0): 1}
-    _check_crossings(d)
-    return (_scan if d.n >= SCAN_FROM else _cube)(d)
-
-
-def _check_crossings(d: LinkDiagram):
     if d.n > CROSSING_CAP:
         raise SizeLimitError("%d crossings exceed the cap %d"
                              % (d.n, CROSSING_CAP))
+    return (_scan if d.n >= SCAN_FROM else _cube)(d)
 
 
-def _check_dimension(total: int):
+def _check_dimension(d: LinkDiagram, reduced: int):
+    """Refuse a diagram whose unreduced dimension, its reduced
+    generators times 2 for the marked circle and for each free loop,
+    exceeds DIM_CAP."""
+    total = reduced << d.loops + (d.n > 0)
     if total > DIM_CAP:
         raise SizeLimitError("chain dimension %d exceeds the cap %d"
                              % (total, DIM_CAP))
@@ -153,26 +149,35 @@ _KEYS = {}
 
 
 def _graded(d: LinkDiagram, counts: dict) -> dict:
-    """Ranks counted at (r, j) shifted to (r - n_minus, j + n_plus -
-    2 n_minus), zeros dropped, keys sorted."""
+    """Reduced ranks counted at (r, q), tensored with V for the marked
+    circle and each free loop, each factor moving a rank to q - 1 and
+    q + 1, then shifted to (r - n_minus, q + n_plus - 2 n_minus), zeros
+    dropped, keys sorted."""
+    for _ in range(d.loops + (d.n > 0)):
+        full = {}
+        for (r, q), h in counts.items():
+            for key in (r, q - 1), (r, q + 1):
+                full[key] = full.get(key, 0) + h
+        counts = full
     n_minus = crossing_signs(d).count(-1)
     shift = d.n - 3 * n_minus
     ranks = {}
-    for (r, j), h in sorted(counts.items()):
+    for (r, q), h in sorted(counts.items()):
         if h:
-            key = (r - n_minus, j + shift)
+            key = (r - n_minus, q + shift)
             ranks[_KEYS.setdefault(key, key)] = h
     return ranks
 
 
 def _labels(d: LinkDiagram):
     """Per state mask: the plug -> circle label bytes, and the circle
-    count with the free loops.  State 0 is labelled by
+    count, free loops left out; a diagram without crossings has one
+    state of one circle, a free loop.  State 0 is labelled by
     diagram.circle_labels, every other state derived from a parent by
     the index rule; for a split, diagram.state_circle walks the new
     circle, the part without a's smallest plug, which moves to w."""
     n, first = d.n, circle_labels(d, 0)
-    lab, ks = [bytes(first)], [max(first, default=-1) + 1 + d.loops]
+    lab, ks = [bytes(first)], [max(first, default=0) + 1]
     ident, tables = bytes(range(256)), {}
     for mask in range(1, 1 << n):
         low, rest = mask & -mask, mask
@@ -236,79 +241,68 @@ def _split_images(k, a, w):
             for y in (x & lo | x >> w << w + 1,)]
 
 
-def _levels(d: LinkDiagram):
-    """Yield (r, dims, rows) for r = 0..n, the marked subcomplex at state
-    weight r, in quantum degrees before the global shift: dims maps j to
-    the column count of block (r, j), and
-    rows[j] holds its differential rows, bitmasks over the columns of
-    block (r + 1, j).  A labeling x has bit 0 set, and its column is
-    numbered by x >> 1.  Only levels r and r + 1 are numbered at once.
+def _blocks(d: LinkDiagram):
+    """The marked subcomplex of the cube as (dims, rows), keyed by
+    (r, q) before the global shift: dims[r, q] is the column count of
+    the block, and rows[r, q] its differential rows, bitmasks over the
+    columns of block (r + 1, q).  A state with r B smoothings and k
+    circles has one column per labeling y < 2^(k - 1) of the circles
+    but the marked one, bit i - 1 set when circle i carries x, at
+    q = r + k - 1 - 2 * popcount(y).
 
     The labels of every state come from _labels, each from a parent
-    state by one merge or split.  The edge at crossing c maps x by its
-    circle indices.  A merge of a < b sends x to
-    y = (x & (2^b - 1)) | (x >> (b+1) << b) with bit a set to
+    state by one merge or split.  The edge at crossing c maps the
+    labeling x = 2y + 1 by its circle indices.  A merge of a < b sends
+    x to (x & (2^b - 1)) | (x >> (b+1) << b) with bit a set to
     x_a | x_b, or to 0 when both are set.  A split of a, the new circle
-    at w, sends x to y = (x & (2^w - 1)) | (x >> w << (w+1)) plus 2^w
-    when x_a is set, and to (y | 2^a) + (y | 2^w) when it is not.
+    at w, sends x to z = (x & (2^w - 1)) | (x >> w << (w+1)) plus 2^w
+    when x_a is set, and to (z | 2^a) + (z | 2^w) when it is not.
     These images depend on the state only through its circle count k
     and the touched indices, so each key (k, a, b) or (k, a, w) is
     tabulated once per call by _merge_images or _split_images, and an
     edge reads its table and the target state's column numbers."""
-    n = d.n
     lab, ks = _labels(d)
-    _check_dimension(sum(1 << k for k in ks))
-    weight = [[] for _ in range(n + 2)]
-    for mask in range(1 << n):
-        weight[mask.bit_count()].append(mask)
-
-    def number(r):
-        dims, col = {}, {}
-        for mask in weight[r]:
-            base = r + ks[mask]
-            here = col[mask] = []
-            for x in range(1, 1 << ks[mask], 2):
-                j = base - 2 * x.bit_count()
-                idx = dims.get(j, 0)
-                dims[j] = idx + 1
-                here.append(idx)
-        return dims, col
-
+    _check_dimension(d, sum(1 << k - 1 for k in ks))
+    dims, col = {}, []
+    for mask, k in enumerate(ks):
+        r = mask.bit_count()
+        here = []
+        for y in range(1 << k - 1):
+            key = r, r + k - 1 - 2 * y.bit_count()
+            idx = dims.get(key, 0)
+            dims[key] = idx + 1
+            here.append(idx)
+        col.append(here)
+    rows = {key: [0] * dim for key, dim in dims.items()}
     merges, splits = {}, {}
-    dims, col = number(0)
-    for r in range(n + 1):
-        dims_up, col_up = number(r + 1)
-        rows = {j: [0] * dim for j, dim in dims.items()}
-        for mask in weight[r]:
-            k = ks[mask]
-            ls = lab[mask]
-            img = [0] * (1 << k - 1)
-            for c in range(n):
-                if mask >> c & 1:
-                    continue
-                ct = col_up[mask | 1 << c]
-                a, b = ls[4 * c], ls[4 * c + 2]
-                if a != b:  # merge
-                    key = (k, a, b) if a < b else (k, b, a)
-                    t = merges.get(key)
-                    if t is None:
-                        t = merges[key] = _merge_images(*key)
-                    img = [i if u < 0 else i ^ 1 << ct[u]
-                           for i, u in zip(img, t)]
-                else:  # split
-                    lt = lab[mask | 1 << c]
-                    # the part without a's smallest plug comes after a
-                    key = (k, a, max(lt[4 * c], lt[4 * c + 1]))
-                    t = splits.get(key)
-                    if t is None:
-                        t = splits[key] = _split_images(*key)
-                    img = [i ^ 1 << ct[u] ^ (0 if v < 0 else 1 << ct[v])
-                           for i, (u, v) in zip(img, t)]
-            base = r + k - 2
-            for h, idx in enumerate(col[mask]):
-                rows[base - 2 * h.bit_count()][idx] = img[h]
-        yield r, dims, rows
-        dims, col = dims_up, col_up
+    for mask, k in enumerate(ks):
+        ls = lab[mask]
+        img = [0] * (1 << k - 1)
+        for c in range(d.n):
+            if mask >> c & 1:
+                continue
+            ct = col[mask | 1 << c]
+            a, b = ls[4 * c], ls[4 * c + 2]
+            if a != b:  # merge
+                key = (k, a, b) if a < b else (k, b, a)
+                t = merges.get(key)
+                if t is None:
+                    t = merges[key] = _merge_images(*key)
+                img = [i if u < 0 else i ^ 1 << ct[u]
+                       for i, u in zip(img, t)]
+            else:  # split
+                lt = lab[mask | 1 << c]
+                # the part without a's smallest plug comes after a
+                key = (k, a, max(lt[4 * c], lt[4 * c + 1]))
+                t = splits.get(key)
+                if t is None:
+                    t = splits[key] = _split_images(*key)
+                img = [i ^ 1 << ct[u] ^ (0 if v < 0 else 1 << ct[v])
+                       for i, (u, v) in zip(img, t)]
+        r = mask.bit_count()
+        for y, idx in enumerate(col[mask]):
+            rows[r, r + k - 1 - 2 * y.bit_count()][idx] = img[y]
+    return dims, rows
 
 
 def _rank(rows) -> int:
@@ -328,16 +322,10 @@ def _rank(rows) -> int:
 
 def _cube(d: LinkDiagram) -> dict:
     """khovanov_f2 on the marked-circle subcomplex of the cube."""
-    counts, below = {}, {}
-    for r, dims, rows in _levels(d):
-        # each block is dropped once ranked, before the next level
-        rank_d = {j: _rank(rows.pop(j)) for j in dims}
-        for j, dim in dims.items():
-            h = dim - rank_d[j] - below.get(j, 0)
-            for key in (r, j), (r, j + 2):
-                counts[key] = counts.get(key, 0) + h
-        below = rank_d
-    return _graded(d, counts)
+    dims, rows = _blocks(d)
+    rank = {key: _rank(block) for key, block in rows.items()}
+    return _graded(d, {(r, q): dim - rank[r, q] - rank.get((r - 1, q), 0)
+                       for (r, q), dim in dims.items()})
 
 
 def _cycles(m, n, ends, marks):
@@ -487,7 +475,7 @@ def _complexes(d: LinkDiagram):
         mats, weights = new_mats, new_weights
         steps.append((c, pairs, moves, mats,
                       _cycle_table(mats, ends, [p for p in cut if p in ends])))
-    _check_dimension(sum(weights) << d.loops + (d.n > 0))
+    _check_dimension(d, sum(weights))
 
     objects, out = {0: ((0, 0), 0)}, {0: {}}
     cycles = _cycle_table([{}], [], [])
@@ -630,57 +618,12 @@ def _complexes(d: LinkDiagram):
 def _scan(d: LinkDiagram) -> dict:
     """khovanov_f2 by the local scan."""
     objects = {0: ((0, 0), 0)}
-    for objects, out, _ in _complexes(d):
+    for objects, _, _ in _complexes(d):
         pass
     counts = {}
     for (_, q), h in objects.values():
         counts[h, q] = counts.get((h, q), 0) + 1
-    # V = F2[x]/x^2 for the marked circle and each free loop
-    for _ in range(d.loops + (d.n > 0)):
-        shifted = {}
-        for (h, q), r in counts.items():
-            for key in (h, q - 1), (h, q + 1):
-                shifted[key] = shifted.get(key, 0) + r
-        counts = shifted
     return _graded(d, counts)
-
-
-def d_squared_zero(d: LinkDiagram) -> bool:
-    """Check d∘d = 0 on the complex khovanov_f2 builds: below SCAN_FROM
-    crossings block by block on the cube's marked-circle subcomplex,
-    from SCAN_FROM up on the scan's complex after every crossing, with
-    the arc _complexes cuts."""
-    _check_crossings(d)
-    if d.n >= SCAN_FROM:
-        return all(_squares_to_zero(out, compose)
-                   for _, out, compose in _complexes(d))
-    below = {}
-    for _, _, rows in _levels(d):
-        for j, rws in below.items():
-            nxt = rows.get(j)
-            if nxt is None:
-                continue
-            for row in rws:
-                acc = 0
-                while row:
-                    b = row & -row
-                    acc ^= nxt[b.bit_length() - 1]
-                    row ^= b
-                if acc:
-                    return False
-        below = rows
-    return True
-
-
-def _squares_to_zero(out, compose) -> bool:
-    for s, row in out.items():
-        acc = {}
-        for b, f in row.items():
-            for t, g in out[b].items():
-                acc[t] = acc.get(t, 0) ^ compose(s, b, t, f, g)
-        if any(acc.values()):
-            return False
-    return True
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,8 +37,14 @@ crossings one at a time instead.
 cube_khovanov_f2 builds the whole unreduced 2^n cube of resolutions
 over F2, both labels on every circle, from union_find_circles and the
 public crossing_signs alone; the package builds only the marked-circle
-subcomplex and doubles its ranks, or scans the crossings one at a
-time.
+subcomplex and tensors its ranks with V, or scans the crossings one at
+a time.  d_squared_zero checks d∘d = 0 on the package's own complexes,
+the cube's blocks or the scan's complex after every crossing; only
+tests build them for that, so the check lives here.
+
+mirror switches every crossing by turning its slots, the plug
+arithmetic of one step counter clockwise; the package mirrors only
+tangles, and no caller of it needs a mirrored diagram.
 
 checkerboard colors the faces of dart_faces by a search over their
 dart adjacency, and checkerboard_goeritz builds the Goeritz
@@ -72,6 +78,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from qalinks import conway
+from qalinks import homology as H
 from qalinks.conway import Neg, Poly, Prod, Ram, Seq, ram_summands
 from qalinks.diagram import (
     DisconnectedDiagramError, LinkDiagram, _closed, _through, crossing_signs,
@@ -524,9 +531,9 @@ def cube_khovanov_f2(d) -> dict:
     return ranks
 
 
-def cube_d_squared_zero(d) -> bool:
-    """d∘d = 0 on every block of the full cube."""
-    _, rows, _ = _cube(d)
+def _rows_square_to_zero(rows) -> bool:
+    """Each row of block (r, j), a bitmask over the columns of block
+    (r + 1, j), composed with that block's rows gives 0."""
     for (r, j), rws in rows.items():
         nxt = rows.get((r + 1, j))
         for row in rws if nxt else ():
@@ -538,6 +545,44 @@ def cube_d_squared_zero(d) -> bool:
             if acc:
                 return False
     return True
+
+
+def cube_d_squared_zero(d) -> bool:
+    """d∘d = 0 on every block of the full cube."""
+    return _rows_square_to_zero(_cube(d)[1])
+
+
+def d_squared_zero(d) -> bool:
+    """d∘d = 0 on the complex khovanov_f2 builds: below SCAN_FROM
+    crossings on the blocks of the package's marked-circle cube, from
+    SCAN_FROM up on the scan's complex after every crossing."""
+    if d.n >= H.SCAN_FROM:
+        return all(squares_to_zero(out, compose)
+                   for _, out, compose in H._complexes(d))
+    return _rows_square_to_zero(H._blocks(d)[1])
+
+
+def squares_to_zero(out, compose) -> bool:
+    """d∘d = 0 on one of the scan's complexes: the composites of the
+    entries s -> b -> t sum to 0 for every s and t."""
+    for s, row in out.items():
+        acc = {}
+        for b, f in row.items():
+            for t, g in out[b].items():
+                acc[t] = acc.get(t, 0) ^ compose(s, b, t, f, g)
+        if any(acc.values()):
+            return False
+    return True
+
+
+def mirror(d):
+    """d with every crossing switched: each crossing's slots turned one
+    step counter clockwise, plug 4c + s renamed 4c + (s + 1) % 4."""
+    turn = [p & ~3 | p + 1 & 3 for p in range(4 * d.n)]
+    adj = [0] * (4 * d.n)
+    for p, q in enumerate(d.adj):
+        adj[turn[p]] = turn[q]
+    return LinkDiagram(d.n, adj, d.loops)
 
 
 def checkerboard(d):

@@ -161,6 +161,8 @@ def test_parse_errors():
 @pytest.mark.parametrize("text,pos", [
     ("(2,2", 4), ("2,2+3", 4), ("6*2.2.(2", 8), ("6*2.2.2 2)", 9),
     ("  6*2.  2.2 2)", 10), ("2.-3 0.(2", 9),
+    # digits are ASCII: str.isdigit would take "²", which int cannot read
+    ("2²", 1), ("6*2.²", 4),
 ])
 def test_parse_error_positions(text, pos):
     # pos indexes the symbol with its whitespace stripped and collapsed,

@@ -10,7 +10,7 @@ from qalinks import conway
 from qalinks import diagram as D
 
 from oracles import (
-    brute_canonical_code, checkerboard, code_from, dart_faces,
+    brute_canonical_code, checkerboard, code_from, dart_faces, mirror,
     r3_moves_every_arc, render, symbol_crossings, walk_fuse,
 )
 
@@ -133,7 +133,7 @@ class TestMoves:
                 outcomes.add("unknot")
             else:
                 assert D.canonical_code(s) == D.canonical_code(build("2")) \
-                    or D.canonical_code(s) == D.canonical_code(D.mirror(build("2")))
+                    or D.canonical_code(s) == D.canonical_code(mirror(build("2")))
                 outcomes.add("hopf")
         assert outcomes == {"unknot", "hopf"}
 
@@ -410,7 +410,7 @@ class TestPlugTable:
     def made_from(d):
         labels = {}
         code = D.canonical_code(d, labels)
-        out = [d, D.mirror(d), D.relabel(d, labels), D.from_code(code)]
+        out = [d, mirror(d), D.relabel(d, labels), D.from_code(code)]
         out += [m for m, _ in D.r3_moves(d)]
         out += [D.smooth(d, c, kind) for c in range(d.n) for kind in "AB"]
         e = D.reduce_once(d)
@@ -473,9 +473,9 @@ class TestCorpus:
         # mirror turns every slot one step, so twice is the half turn
         # p -> p ^ 2 of every crossing, plug for plug
         d = build(sym)
-        twice = D.mirror(D.mirror(d))
+        twice = mirror(mirror(d))
         assert twice.adj == [d.adj[p ^ 2] ^ 2 for p in range(4 * d.n)]
-        assert D.mirror(D.mirror(twice)).adj == d.adj
+        assert mirror(mirror(twice)).adj == d.adj
         assert D.canonical_code(twice) == D.canonical_code(d)
 
     @pytest.mark.parametrize("sym", SYMBOLS)
@@ -488,7 +488,7 @@ class TestCorpus:
 
     def test_mirror_matches_negated_symbol(self):
         for sym in ("3", "2 2", "2 1 1", "5", "3,3,-3"):
-            lhs = D.canonical_code(D.mirror(build(sym)))
+            lhs = D.canonical_code(mirror(build(sym)))
             rhs = D.canonical_code(build(render(
                 conway.mirror_expr(conway.parse(sym)))))
             assert lhs == rhs

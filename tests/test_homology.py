@@ -20,8 +20,8 @@ from qalinks import homology as H
 from qalinks.invariants import LaurentPoly, SizeLimitError, jones, signature
 
 from oracles import (
-    cube_d_squared_zero, cube_khovanov_f2, union_find_circles,
-    union_find_strands,
+    cube_d_squared_zero, cube_khovanov_f2, d_squared_zero, mirror,
+    union_find_circles, union_find_strands,
 )
 from test_diagram import mixed_closures
 
@@ -95,7 +95,7 @@ class TestOracles:
 
     @pytest.mark.parametrize("sym", BATTERY)
     def test_differential_squares_to_zero(self, sym):
-        assert H.d_squared_zero(D.build(sym))
+        assert d_squared_zero(D.build(sym))
 
     def test_invariance_under_reduction(self):
         # Reidemeister I/II reductions must not move the table.  The
@@ -111,14 +111,16 @@ class TestOracles:
     def test_mirror_flips_gradings(self):
         d = D.build("2 2")
         left = H.khovanov_f2(d)
-        right = H.khovanov_f2(D.mirror(d))
+        right = H.khovanov_f2(mirror(d))
         assert right == {(-i, -j): r for (i, j), r in left.items()}
 
 
 class TestReducedAgainstCube:
-    """The doubled marked-circle ranks equal the full cube's exactly,
-    on either path: the cube and the local scan, called directly, and
-    khovanov_f2, which picks one by SCAN_FROM."""
+    """The reduced ranks, tensored with V for the marked circle and
+    each free loop by the one tail both paths share, equal the full
+    cube's exactly, on either path: the marked-circle cube and the
+    local scan, called directly, and khovanov_f2, which picks one by
+    SCAN_FROM."""
 
     # two split trefoil pieces, and a trefoil beside two free loops
     NAMED = [D.from_braid([1, 1, 1, 3, 3, 3], 4), D.from_braid([2, 2, 2], 4)]
@@ -207,7 +209,7 @@ class TestScanComplex:
     def test_differential_squares_to_zero_after_every_crossing(
             self, sym, monkeypatch):
         monkeypatch.setattr(H, "SCAN_FROM", 0)
-        assert H.d_squared_zero(D.build(sym))
+        assert d_squared_zero(D.build(sym))
 
     @pytest.mark.parametrize("sym", BATTERY)
     def test_no_differential_is_left(self, sym):
@@ -289,7 +291,7 @@ class TestCutArc:
             assert H._scan(e) == want[n_minus]
             with monkeypatch.context() as m:
                 m.setattr(H, "SCAN_FROM", 0)
-                assert H.d_squared_zero(e)
+                assert d_squared_zero(e)
             if e.n:
                 total += 1
                 moved += {back[p] for p in self.cut(e, monkeypatch)} != first
@@ -341,7 +343,7 @@ class TestEdgeIndexRule:
     w, its target index at plug 4c or 4c + 1, and moves every circle
     from w up one.  Free loops count as the last circles.
 
-    The image tables _levels reads follow from the same circles: the
+    The image tables _blocks reads follow from the same circles: the
     entry for labeling x (bit i set when circle i carries x) is the
     image's slot y >> 1 in the end state, -1 for a merge that sends x
     to 0, and for a split the pair (u, v) of its terms' slots, v = -1
@@ -435,7 +437,8 @@ class TestEdgeIndexRule:
 class TestStateLabels:
     """_labels derives each state's plug -> circle labels from a parent
     state by one merge or split; they equal a fresh state_circles walk
-    of every state, free loops counted in the circle count."""
+    of every state, free loops left out of the circle count, which is
+    1 for a diagram without crossings, its marked free loop."""
 
     CLOSURES = TestEdgeIndexRule.CLOSURES
 
@@ -449,7 +452,7 @@ class TestStateLabels:
                 for p in circle:
                     here[p] = i
             lab.append(bytes(here))
-            ks.append(len(circles) + d.loops)
+            ks.append(len(circles) or 1)
         return lab, ks
 
     def check(self, d):
@@ -523,6 +526,15 @@ class TestKunneth:
     # closures with crossings and unused strands, which become free loops
     WORDS = [([1, 1, 1], 3), ([1, -2, 1, -2], 4), ([2, 2, 2], 4),
              ([2, -3, 2, 2, -3, 2, -3], 5)]
+
+    @pytest.mark.parametrize("word,strands", WORDS)
+    def test_free_loops_leave_the_cube_alone(self, word, strands):
+        # the tail tensors V once per free loop, so the cube's blocks
+        # are those of the diagram without its loops
+        d = D.from_braid(word, strands)
+        bare = H._blocks(D.LinkDiagram(d.n, d.adj, 0))
+        for loops in range(1, 4):
+            assert H._blocks(D.LinkDiagram(d.n, d.adj, loops)) == bare
 
     @pytest.mark.parametrize("word,strands", WORDS)
     def test_extra_loop_shifts_by_j_plus_minus_one(self, word, strands):
@@ -615,8 +627,9 @@ class TestLimits:
         assert tables[0] == tables[1] and len(calls) == 2
 
     def test_peak_memory_at_twelve_crossings(self):
-        # one weight level of the complex is held at a time; the whole
-        # complex at once peaked near 7 MB here
+        # khovanov_f2 runs the scan here, which holds one step's complex
+        # at a time (98 objects at most) and peaked near 0.3 MB; the
+        # cube, built whole, peaks near 5 MB
         d = D.build("2 1 1:-2 1 0:2 0")
         assert d.n == 12
         tracemalloc.start()

@@ -24,7 +24,8 @@ from qalinks.invariants import LaurentPoly
 
 from oracles import (
     OracleUnsupported, checkerboard_goeritz, cube_bracket,
-    fraction_sym_signature, minor_smoothing_determinants, symbol_det,
+    fraction_sym_signature, minor_smoothing_determinants, mirror,
+    symbol_det,
 )
 from test_diagram import SYMBOLS, mixed_closures, shuffled
 from test_homology import BATTERY
@@ -203,12 +204,12 @@ class TestJones:
     @pytest.mark.parametrize("sym", KNOT_SYMBOLS)
     def test_mirror_reverses_knot_jones(self, sym):
         d = build(sym)
-        assert I.jones(D.mirror(d)) == I.jones(d).reverse()
+        assert I.jones(mirror(d)) == I.jones(d).reverse()
 
     @pytest.mark.parametrize("sym", LINK_SYMBOLS)
     def test_mirror_reverses_link_jones_up_to_gauge(self, sym):
         d = build(sym)
-        assert shift_equal(I.jones(D.mirror(d)), I.jones(d).reverse())
+        assert shift_equal(I.jones(mirror(d)), I.jones(d).reverse())
 
     @pytest.mark.parametrize("sym", KNOT_SYMBOLS + LINK_SYMBOLS)
     def test_exponent_parity_tracks_components(self, sym):
@@ -225,7 +226,7 @@ class TestJones:
         # rows kept side by side hold one copy of each Jones polynomial,
         # and one that no caller holds is let go
         v = I.jones(build("3 1 4 1 5"))
-        assert I.jones(D.mirror(D.mirror(build("3 1 4 1 5")))) is v
+        assert I.jones(mirror(mirror(build("3 1 4 1 5")))) is v
         key = tuple(sorted(v.c.items()))
         assert key in I._JONES
         del v
@@ -259,7 +260,7 @@ class TestDeterminant:
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_mirror_invariance(self, sym):
         d = build(sym)
-        assert I.determinant(D.mirror(d)) == I.determinant(d)
+        assert I.determinant(mirror(d)) == I.determinant(d)
 
     def test_split_unlink_vanishes(self):
         assert I.determinant(build("0")) == 0
@@ -423,7 +424,7 @@ class TestSmoothingDeterminants:
         # whose row the reduced matrix drops, on each color that
         # smoothing_determinants builds on; 2,2,-1 and the mirrored
         # kink bring a singular matrix and a loop edge to color 1
-        named = [build("2,2,-1"), D.mirror(D.from_braid([1, 1, 1, 2], 3))]
+        named = [build("2,2,-1"), mirror(D.from_braid([1, 1, 1, 2], 3))]
         ds = self.CLOSURES + [build(s) for s in SYMBOLS] + self.NODES + named
         connected = [d for d in ds
                      if not d.loops and len(D.graph_components(d)) == 1]
@@ -447,7 +448,7 @@ class TestSmoothingDeterminants:
         # a kink is a loop edge of one Tait graph and a bridge of the
         # other: one smoothing splits off a circle, the other keeps det
         kinked = D.from_braid([1, 1, 1, 2], 3)
-        ds = [build("1"), build("-1"), kinked, D.mirror(kinked)]
+        ds = [build("1"), build("-1"), kinked, mirror(kinked)]
         loop_edges = 0
         for d in ds:
             _, _, rows = I._goeritz(d, 0)
@@ -498,7 +499,7 @@ class TestSignature:
                                      if D.components(build(s)) == 1])
     def test_mirror_antisymmetry_for_knots(self, sym):
         d = build(sym)
-        assert I.signature(D.mirror(d)) == -I.signature(d)
+        assert I.signature(mirror(d)) == -I.signature(d)
 
     @pytest.mark.parametrize("sym", SYMBOLS)
     def test_both_colors_agree(self, sym):

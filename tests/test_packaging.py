@@ -58,8 +58,8 @@ def test_bench_records_claim_a_benchmark_metric():
 # Montesinos families is meant to become the caller of the Montesinos
 # helpers.
 UNREFERENCED = {
-    "certificate_from_dict", "conway_to_montesinos", "d_squared_zero",
-    "mirror", "montesinos_qa", "montesinos_to_conway",
+    "certificate_from_dict", "conway_to_montesinos", "montesinos_qa",
+    "montesinos_to_conway",
 }
 
 
