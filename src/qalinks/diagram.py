@@ -481,6 +481,60 @@ def scan_order(d: LinkDiagram):
     return order
 
 
+def scan_walk(d: LinkDiagram):
+    """(cut, steps): the planar matching walk of D. Bar-Natan's Fast
+    Khovanov homology computations (arXiv:math/0606318), which the
+    bracket and the Khovanov scan both fold.
+
+    The crossings are added in scan_order, so the open ends stay few.
+    The placed part of a smoothing state is a planar matching of its
+    open ends plus closed loops, and the walk lists the matchings, not
+    the 2^n states.  The A smoothing joins a crossing's plugs (0, 1)
+    and (2, 3), the B smoothing (0, 3) and (1, 2).  The cut arc is
+    never fused: it is the one whose earlier end scan_order places
+    last, ties to the smallest plug, so the fewest steps carry its open
+    ends, and the one matching left at the end is {p: q, q: p} for
+    cut = (p, q), p < q.  cut is () when there are no crossings.
+
+    steps holds (c, pairs, ends, mats, moves) per crossing c of
+    scan_order: pairs, the arcs from c to crossings placed before it
+    and c's own kinks once each, the cut arc never; ends, the sorted
+    open ends once c is placed; mats, the matchings after c as arc
+    dicts over ends (before the first step, only the empty one);
+    moves[i], for matching i before c, one (index in mats, loop plugs)
+    per smoothing of c, A then B, as fuse glues it on through pairs.
+    """
+    adj, order = d.adj, scan_order(d)
+    at = {c: i for i, c in enumerate(order)}
+    cut = max(((p, adj[p]) for p in range(4 * d.n) if p < adj[p]),
+              key=lambda a: (min(at[a[0] >> 2], at[a[1] >> 2]), -a[0]),
+              default=())
+    placed, ends, mats, steps = set(), [], [{}], []
+    for c in order:
+        placed.add(c)
+        plugs = range(4 * c, 4 * c + 4)
+        pairs = [(q, adj[q]) for q in plugs if adj[q] >> 2 in placed
+                 and (adj[q] >> 2 != c or q < adj[q]) and q not in cut]
+        ends = sorted({*ends, *plugs} - {p for pair in pairs for p in pair})
+        p0, p1, p2, p3 = plugs
+        smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
+                      {p0: p3, p3: p0, p1: p2, p2: p1})   # B
+        ids, new_mats, moves = {}, [], []
+        for m in mats:
+            row = []
+            for s in smoothings:
+                arcs, loops = fuse({**m, **s}, pairs)
+                j = ids.setdefault(tuple(arcs[p] for p in ends),
+                                   len(new_mats))
+                if j == len(new_mats):
+                    new_mats.append(arcs)
+                row.append((j, loops))
+            moves.append(row)
+        mats = new_mats
+        steps.append((c, pairs, ends, mats, moves))
+    return cut, steps
+
+
 def state_circles(d: LinkDiagram, state: int):
     """Circles of the smoothing state given as a bitmask, free loops left out.
 

@@ -1,12 +1,11 @@
 """Khovanov homology over F2: D. Bar-Natan's local scan from SCAN_FROM
 crossings up, the marked-circle subcomplex of the cube below that.
 
-The zero smoothing of every crossing is the A smoothing (plugs (0,1)
-and (2,3) joined), the one smoothing is B, matching the bracket
-conventions in the invariants module.  A state with r one-smoothings
-sits in homological degree i = r - n_minus; a labeling of its circles
-with deg = (#unit - #x) sits in quantum degree j = deg + r + n_plus
-- 2*n_minus.
+The zero smoothing of every crossing is the A smoothing of
+diagram.scan_walk, the one smoothing is B.  A state with r
+one-smoothings sits in homological degree i = r - n_minus; a labeling
+of its circles with deg = (#unit - #x) sits in quantum degree
+j = deg + r + n_plus - 2*n_minus.
 
 Both paths compute reduced homology, x killed on a marked circle, and
 count its ranks at (r, q), q = r + deg over the circles but the marked
@@ -53,16 +52,11 @@ source state's circle count and the touched indices alone, so the
 images of each such key are tabulated once per call and read by every
 edge with that key.
 
-The scan (D. Bar-Natan, Fast Khovanov homology computations,
-arXiv:math/0606318), over F2.  The crossings are added in
-diagram.scan_order to a complex of crossingless matchings of the open
-ends, each at a homological degree h and a q shift.  One arc is cut:
-both its ends stay open from the first of its crossings placed to the
-last crossing and are marked, and a dot on any component touching them
-is 0, which gives reduced homology.  Over F2 the reduced homology does
-not depend on the arc marked (Shumakovitch, as above), so the scan
-cuts the arc whose earlier end scan_order places last, ties to the
-smallest plug: the fewest steps carry its open ends.  A morphism
+The scan, over F2, follows diagram.scan_walk: a complex of the walk's
+matchings of the open ends, each at a homological degree h and a q
+shift.  The ends of the walk's cut arc are marked, and a dot on any
+component touching them is 0, which gives reduced homology; over F2 it
+does not depend on the arc marked (Shumakovitch, as above).  A morphism
 M -> N is an F2 sum of dot patterns on the cycles of M ∪ N, one disk
 per cycle with at most one dot, held as an int with bit P set for
 pattern P.  Any glued surface reduces to such sums by its components,
@@ -73,16 +67,16 @@ becomes the term with all its cycles dotted.
 
 Adding crossing c puts each object in c's A smoothing at (h, q) and in
 its B smoothing at (h + 1, q + 1), joined by the saddle, and each
-entry in either smoothing beside the identity of its arcs;
-diagram.fuse glues the arcs and reports a plug on every loop that
-closes.  Each closed loop is delooped into a copy at q + 1, reached by
-an undotted cup and left by a dotted cap, and a copy at q - 1, reached
-by a dotted cup and left by an undotted cap.  Then every identity
-entry a -> b (the same matching and q) is eliminated: over F2 each
-entry s -> t gains the composite of s -> b and a -> t, and a and b go.
-Once every crossing is placed only the cut arc is left, and an entry
-between two of its copies could only be an identity, so none is left:
-each object at (h, q) is one reduced generator.
+entry in either smoothing beside the identity of its arcs, as the
+walk's moves glue them.  Each closed loop is delooped into a copy at
+q + 1, reached by an undotted cup and left by a dotted cap, and a copy
+at q - 1, reached by a dotted cup and left by an undotted cap.  Then
+every identity entry a -> b (the same matching and q) is eliminated:
+over F2 each entry s -> t gains the composite of s -> b and a -> t,
+and a and b go.  Once every crossing is placed only the cut arc is
+left, and an entry between two of its copies could only be an
+identity, so none is left: each object at (h, q) is one reduced
+generator.
 
 The scan's work grows with the matchings of the open ends rather than
 with 2^n, but each object costs far more than a cube labeling, so
@@ -100,10 +94,9 @@ unreduced dimension, the sum of 2^k over the states with k circles,
 free loops counted, on both paths by one formula: the reduced
 generators, 2^(k - 1) per state, times 2 for the marked circle and for
 each free loop.  The cube counts them over its labelled states, the
-scan from a count per matching of the states reaching it, each weighed
-by 2^(loops closed), as the bracket's scan counts them.  The caps
-refuse a diagram by the size of its homology's full cube, whichever
-complex computes it.
+scan from a count per matching of the walk of the states reaching it,
+each weighed by 2^(loops closed).  The caps refuse a diagram by the
+size of its homology's full cube, whichever complex computes it.
 """
 
 from __future__ import annotations
@@ -111,8 +104,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qalinks.diagram import (
-    LinkDiagram, circle_labels, crossing_signs, fuse, scan_order,
-    state_circle,
+    LinkDiagram, circle_labels, crossing_signs, scan_walk, state_circle,
 )
 from qalinks.invariants import SizeLimitError
 
@@ -434,53 +426,27 @@ def _cycle_table(mats, ends, marks):
 
 
 def _complexes(d: LinkDiagram):
-    """Yield the scan's complex after each crossing of scan_order, the
-    arc whose earlier end it places last cut, ties to the smallest plug:
+    """Yield the scan's complex after each step of diagram.scan_walk:
     (objects, out, compose).  objects maps an id to ((matching, q), h);
     out[a][b] is the entry a -> b; compose(s, b, t, f, g) is the
     morphism f: s -> b followed by g: a -> t, for an object a with b's
     matching."""
-    adj, order = d.adj, scan_order(d)
-    at = {c: i for i, c in enumerate(order)}
-    cut = max(((p, adj[p]) for p in range(4 * d.n) if p < adj[p]),
-              key=lambda a: (min(at[a[0] >> 2], at[a[1] >> 2]), -a[0]),
-              default=())
-    # first every step's matchings: per matching, the matching and the
-    # loops that each smoothing glues it into, and the states reaching
-    # it, each weighed 2^loops, for the cap
-    placed, ends, mats, weights, steps = set(), [], [{}], [1], []
-    for c in order:
-        placed.add(c)
-        plugs = range(4 * c, 4 * c + 4)
-        # arcs to placed crossings, c's own kinks once, never the cut arc
-        pairs = [(q, adj[q]) for q in plugs if adj[q] >> 2 in placed
-                 and (adj[q] >> 2 != c or q < adj[q]) and q not in cut]
-        ends = sorted({*ends, *plugs} - {p for pair in pairs for p in pair})
-        p0, p1, p2, p3 = plugs
-        smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
-                      {p0: p3, p3: p0, p1: p2, p2: p1})   # B
-        ids, new_mats, new_weights, moves = {}, [], [], []
-        for m, w in zip(mats, weights):
-            row = []
-            for s in smoothings:
-                arcs, loops = fuse({**m, **s}, pairs)
-                j = ids.setdefault(tuple(arcs[p] for p in ends),
-                                   len(new_mats))
-                if j == len(new_mats):
-                    new_mats.append(arcs)
-                    new_weights.append(0)
+    cut, steps = scan_walk(d)
+    # per matching, the states reaching it, each weighed 2^loops
+    weights = [1]
+    for _, _, _, mats, moves in steps:
+        new_weights = [0] * len(mats)
+        for w, row in zip(weights, moves):
+            for j, loops in row:
                 new_weights[j] += w << len(loops)
-                row.append((j, loops))
-            moves.append(row)
-        mats, weights = new_mats, new_weights
-        steps.append((c, pairs, moves, mats,
-                      _cycle_table(mats, ends, [p for p in cut if p in ends])))
+        weights = new_weights
     _check_dimension(d, sum(weights))
 
     objects, out = {0: ((0, 0), 0)}, {0: {}}
     cycles = _cycle_table([{}], [], [])
-    for c, pairs, moves, mats, new_cycles in steps:
-        old_cycles, cycles = cycles, new_cycles
+    for c, pairs, ends, mats, moves in steps:
+        old_cycles, cycles = cycles, _cycle_table(
+            mats, ends, [p for p in cut if p in ends])
         # the crossing's disks: a strip per arc of either smoothing, or
         # the saddle between them
         strips = ({4 * c: 0, 4 * c + 1: 0, 4 * c + 2: 1, 4 * c + 3: 1},

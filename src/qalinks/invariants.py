@@ -1,17 +1,7 @@
 """Exact diagram invariants: bracket, Jones, determinant, signature.
 
-The bracket is the Kauffman state sum evaluated by a planar scan, a
-transfer matrix in the manner of D. Bar-Natan's Fast Khovanov homology
-computations (arXiv:math/0606318).  Crossings are added one at a time,
-in diagram.scan_order, so the open ends stay few.  The placed part of
-every state is a planar matching of its open ends plus a number of
-closed loops; the scan keeps, per matching, how many states reach it
-with b B-smoothings and l loops.  A crossing's A and B smoothings are
-glued onto each matching with diagram.fuse, which also reports the
-loops that close.  Once every crossing is placed the
-only matching left is the empty one, and its counts are the state sum.
-The work grows with the number of matchings, not with 2^n, so there
-is no crossing cap; tests/oracles.py keeps the 2^n state sum.
+The bracket is the Kauffman state sum, folded from the planar matching
+walk diagram.scan_walk.
 
 Jones polynomials are returned in the square root of the usual
 variable: exponents are doubled, which keeps them integral for links
@@ -42,13 +32,13 @@ arXiv:0712.2265).
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 
 from qalinks import diagram as diag
 
 
 class SizeLimitError(RuntimeError):
-    pass
+    """Raised only by homology's caps, CROSSING_CAP and DIM_CAP; kept
+    here since perfbench/run.py catches invariants.SizeLimitError."""
 
 
 class LaurentPoly:
@@ -137,13 +127,6 @@ class LaurentPoly:
         """Substitute the variable by its inverse."""
         return LaurentPoly({-e: v for e, v in self.c.items()})
 
-    def evaluate(self, x):
-        x = Fraction(x)
-        total = Fraction(0)
-        for e, v in self.c.items():
-            total += v * x ** e
-        return total
-
     def coeff(self, e):
         return self.c.get(e, 0)
 
@@ -174,44 +157,40 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self.format("x")
 
 
-def _delta_power(k, cache={}):
-    if k not in cache:
-        delta = LaurentPoly({2: -1, -2: -1})
-        cache[k] = delta ** k
-    return cache[k]
-
-
 def bracket(d) -> LaurentPoly:
-    """Kauffman bracket, normalized to 1 on a single circle."""
+    """Kauffman bracket, normalized to 1 on a single circle.
+
+    A fold of diagram.scan_walk: per matching, the states reaching it
+    with b B smoothings and k loops, each weighing A^(n - 2b) times
+    delta^(k - 1), delta = -A^2 - A^-2.  Free loops count, and the one
+    matching left at the end, the cut arc, closes one more loop.  There
+    is no crossing cap; tests/oracles.py keeps the 2^n state sum.
+    """
     if d.n == 0 and d.loops == 0:
         raise diag.DisconnectedDiagramError(
             "the empty link has no normalized Jones polynomial")
-    adj, placed = d.adj, set()
-    # open-end matching -> {(B smoothings, closed loops): states}
-    layer = {(): {(0, 0): 1}}
-    for c in diag.scan_order(d):
-        placed.add(c)
-        # arcs from c to placed crossings, c's own kinks once each
-        pairs = [(q, adj[q]) for q in range(4 * c, 4 * c + 4)
-                 if adj[q] // 4 in placed and (adj[q] // 4 != c or q < adj[q])]
-        p0, p1, p2, p3 = range(4 * c, 4 * c + 4)
-        smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
-                      {p0: p3, p3: p0, p1: p2, p2: p1})   # B
-        nxt = {}
-        for ends, counts in layer.items():
-            for b, smoothing in enumerate(smoothings):
-                arcs, loops = diag.fuse({**dict(ends), **smoothing}, pairs)
-                here = nxt.setdefault(tuple(sorted(arcs.items())), {})
-                for (bs, ls), v in counts.items():
-                    key = (bs + b, ls + len(loops))
+    cut, steps = diag.scan_walk(d)
+    # per matching: {k * w + b: states}, k counting the free loops and
+    # the cut arc's from the start
+    w = d.n + 1
+    layer = [{(d.loops + bool(cut)) * w: 1}]
+    for _, _, _, mats, moves in steps:
+        nxt = [{} for _ in mats]
+        for counts, row in zip(layer, moves):
+            for b, (j, loops) in enumerate(row):
+                here, shift = nxt[j], len(loops) * w + b
+                for key, v in counts.items():
+                    key += shift
                     here[key] = here.get(key, 0) + v
         layer = nxt
-    # every arc is closed: one matching is left, the empty one; A
-    # smoothings weigh +1 and B smoothings -1
-    out = LaurentPoly()
-    for (bs, ls), v in layer[()].items():
-        out = out + LaurentPoly.term(v, d.n - 2 * bs) * _delta_power(
-            ls + d.loops - 1)
+    # per loop count k, the sum of A^(n - 2b) over its states, then the
+    # sum over k of that times delta^(k - 1), by Horner's rule
+    sums = {}
+    for key, v in layer[0].items():
+        sums.setdefault(key // w, {})[d.n - 2 * (key % w)] = v
+    delta, out = LaurentPoly({2: -1, -2: -1}), LaurentPoly()
+    for k in range(max(sums), 0, -1):
+        out = out * delta + LaurentPoly(sums.get(k))
     return out
 
 

@@ -27,6 +27,14 @@ SYMBOLS = [
     "8*-2 0.-2 0.-2 0", "9*.-2:.-3", "9*2", "10*2", "10**2.2", "10***2",
 ]
 
+# the homology tests' symbols, up to 12 crossings
+BATTERY = [
+    "1", "2", "3", "2 2", "4", "2 1 1", "5", "2 1 1 1 1",
+    "3,3,-3", "3,3,2-", "2 2,2 1,-2", "(2,2+) -(2 1,2)",
+    "-2 2,2 2,3", ".2.-3 0.2", "2 1 1:-2 1 0:2 0",
+    "8*-2 0.-2 0.-2 0",
+]
+
 
 def build(s):
     return D.build(s)
@@ -398,6 +406,43 @@ class TestFuseAgainstWalk:
             whole += not out
         # several loops at once, and fusions that leave no arc
         assert closed > 50 and whole > 20
+
+
+class TestScanWalk:
+    """The contract of scan_walk: the cut arc is the one matching left,
+    and every state is carried through exactly one move per step."""
+
+    CLOSURES = mixed_closures(26, 80)
+    # simplified closures include diagrams without crossings
+    CORPUS = ([build(s) for s in BATTERY] + CLOSURES
+              + [D.simplify(d) for d in CLOSURES])
+
+    def test_contract(self):
+        kinds = {"empty": 0, "loops": 0, "split": 0, "kink": 0}
+        for d in self.CORPUS:
+            kinds["empty"] += d.n == 0
+            kinds["loops"] += d.loops > 0
+            kinds["split"] += len(D.graph_components(d)) > 1
+            kinds["kink"] += any(q >> 2 == p >> 2 for p, q in enumerate(d.adj))
+            cut, steps = D.scan_walk(d)
+            assert (cut == ()) == (d.n == 0)
+            assert [c for c, *_ in steps] == D.scan_order(d)
+            if d.n:
+                p, q = cut
+                assert steps[-1][3] == [{p: q, q: p}]
+            states = [1]
+            for _, _, ends, mats, moves in steps:
+                assert len(moves) == len(states)
+                assert all(sorted(m) == ends for m in mats)
+                here = [0] * len(mats)
+                for v, row in zip(states, moves):
+                    assert len(row) == 2
+                    for j, _ in row:
+                        here[j] += v
+                states = here
+            assert sum(states) == 2 ** d.n
+        # the corpus holds every edge case
+        assert min(kinds.values()) > 0, kinds
 
 
 class TestPlugTable:

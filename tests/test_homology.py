@@ -23,15 +23,7 @@ from oracles import (
     cube_d_squared_zero, cube_khovanov_f2, d_squared_zero, mirror,
     union_find_circles, union_find_strands,
 )
-from test_diagram import mixed_closures
-
-
-BATTERY = [
-    "1", "2", "3", "2 2", "4", "2 1 1", "5", "2 1 1 1 1",
-    "3,3,-3", "3,3,2-", "2 2,2 1,-2", "(2,2+) -(2 1,2)",
-    "-2 2,2 2,3", ".2.-3 0.2", "2 1 1:-2 1 0:2 0",
-    "8*-2 0.-2 0.-2 0",
-]
+from test_diagram import BATTERY, mixed_closures
 
 
 def euler_poly(ranks):
@@ -229,16 +221,9 @@ class TestCutArc:
     CLOSURES = mixed_closures(23, 40, max_strands=5)
 
     @staticmethod
-    def cut(d, monkeypatch):
-        """The arc _complexes cuts, read off the marks of its last step,
-        where the cut arc's two ends are the only open ones."""
-        marks, real = [], H._cycle_table
-        with monkeypatch.context() as m:
-            m.setattr(H, "_cycle_table", lambda mats, ends, mk: (
-                marks.append(mk) or real(mats, ends, mk)))
-            for _ in H._complexes(d):
-                pass
-        return tuple(max(marks, key=len))
+    def cut(d):
+        """The arc the scan cuts, as diagram.scan_walk reports it."""
+        return D.scan_walk(d)[0]
 
     @staticmethod
     def copies(d, rng):
@@ -256,14 +241,14 @@ class TestCutArc:
         return out
 
     @pytest.mark.parametrize("sym", BATTERY)
-    def test_no_arc_is_reached_later(self, sym, monkeypatch):
+    def test_no_arc_is_reached_later(self, sym):
         d = D.build(sym)
         at = {c: i for i, c in enumerate(D.scan_order(d))}
 
         def reached(p):  # the place of the arc's earlier end
             return min(at[p >> 2], at[d.adj[p] >> 2])
 
-        p, q = self.cut(d, monkeypatch)
+        p, q = self.cut(d)
         assert d.adj[p] == q
         last = max(reached(x) for x in range(4 * d.n))
         assert reached(p) == last
@@ -280,7 +265,7 @@ class TestCutArc:
     def check(self, d, rng, monkeypatch):
         """Check d's relabelled copies; return how many of those with
         crossings cut another arc than d, and how many have crossings."""
-        first = set(self.cut(d, monkeypatch))
+        first = set(self.cut(d))
         # a copy may walk a link's components the other way; its cube's
         # table depends on the copy through its negative crossings only
         want, moved, total = {}, 0, 0
@@ -294,7 +279,7 @@ class TestCutArc:
                 assert d_squared_zero(e)
             if e.n:
                 total += 1
-                moved += {back[p] for p in self.cut(e, monkeypatch)} != first
+                moved += {back[p] for p in self.cut(e)} != first
         return moved, total
 
     @pytest.mark.parametrize("sym", BATTERY)

@@ -94,11 +94,6 @@ class TestLaurentPoly:
         assert p.reverse() == LaurentPoly({-2: 3, 1: 4})
         assert p.reverse().reverse() == p
 
-    def test_evaluate(self):
-        p = LaurentPoly({1: 1, -1: 1})
-        assert p.evaluate(2) == 2.5
-        assert LaurentPoly({0: 7}).evaluate(-3) == 7
-
     def test_format(self):
         p = LaurentPoly({2: -1, 0: 3, -1: 1})
         assert p.format("q") == "-q^2 + 3 + q^-1"
