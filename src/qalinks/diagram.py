@@ -63,10 +63,6 @@ def fuse(arcs, pairs):
     the new arc dict and a list holding one listed plug of each closed
     loop that formed.  The two plugs of a pair are distinct.
 
-    arcs is a dict, or a closed diagram's plug table read as it is:
-    the table is an involution with no fixed point, so it reads as the
-    dict of its enumeration.
-
     Only the connector chains are walked: the surviving arcs are copied
     as they are, and the two outer ends of each open chain are joined.
     A chain that closes on itself is a new loop, listed by its first
@@ -76,7 +72,7 @@ def fuse(arcs, pairs):
     for a, b in pairs:
         link[a] = b
         link[b] = a
-    out = dict(arcs) if isinstance(arcs, dict) else dict(enumerate(arcs))
+    out = dict(arcs)
     loops = []
     for p in link:
         if p not in out:  # walked with an earlier plug of its chain
@@ -128,7 +124,7 @@ def _one_crossing(sign):
     return Tangle(1, arcs)
 
 
-_TURN = (1, 2, 3, 0)  # one step counter clockwise: the mirror, the face step
+_TURN = (1, 2, 3, 0)  # one step counter clockwise: the mirror
 _FLIP = (0, 3, 2, 1)  # the NW-SE diagonal swaps slots 1 and 3
 
 
@@ -183,15 +179,10 @@ class LinkDiagram:
         return "LinkDiagram(n=%d, loops=%d)" % (self.n, self.loops)
 
 
-def _closed(n, arcs, loops, dead=()) -> LinkDiagram:
+def _closed(n, arcs, loops) -> LinkDiagram:
     """The diagram of an arc dict over the plugs of n crossings, as
-    fuse returns it, without the dead crossings, whose plugs have no
-    arc; the others keep their order."""
-    ids, k = [], 0  # c -> its new id
-    for c in range(n):
-        ids.append(k)
-        k += c not in dead
-    return LinkDiagram(k, _table(k, arcs.items(), _plugs(ids)), loops)
+    fuse returns it."""
+    return LinkDiagram(n, [arcs[p] for p in range(4 * n)], loops)
 
 
 def closure_numerator(t: Tangle) -> LinkDiagram:
@@ -588,63 +579,116 @@ def circle_labels(d: LinkDiagram, state: int):
     return lab
 
 
+def _drop(d: LinkDiagram, join, dead) -> LinkDiagram:
+    """d without the crossings dead, a sorted list of one or two,
+    each plug pair (a, b) of join fused as fuse fuses it: a disappears
+    and its arc continues into b's.  join holds every plug of dead.
+
+    The other crossings keep their order: a plug above a dropped
+    crossing moves down by 4 per dropped crossing below it.  So a
+    table reached by several drops depends only on which crossings are
+    gone, not on the order they went in; moving the last crossing into
+    a dropped slot would make it depend on that order.  The QA search
+    relies on this rule.  It smooths and reduces each orbit member in
+    the frame the member arrived in and codes each plug table once, so
+    a crossing smoothed at two members a slide apart must reduce to one
+    table, whichever kinks and bigons each reduction met first.
+
+    The table is copied by slices and renumbered in one pass; only the
+    chains through the dropped plugs are walked, so at most four
+    entries are rewritten, and each chain that closes on itself is a
+    new loop."""
+    adj, link = d.adj, {}
+    for a, b in join:
+        link[a] = b
+        link[b] = a
+    lo, hi = 4 * dead[0] + 4, 4 * dead[-1] + 4
+    top = 4 * len(dead)
+
+    def moved(q):  # q's plug once the dead crossings are gone
+        return q if q < lo else q - 4 if q < hi else q - top
+
+    # an entry that leads into a dead crossing stays stale until the
+    # walk below overwrites it, as the outer end of a chain
+    out = [q if q < lo else q - 4 if q < hi else q - top
+           for q in adj[:lo - 4] + adj[lo:hi - 4] + adj[hi:]]
+    loops, done = d.loops, set()
+    for p in link:
+        if p in done:
+            continue
+        # along p's arc until the chain leaves the connectors or closes
+        done.add(p)
+        q = adj[p]
+        while q in link:
+            done.add(q)
+            q = link[q]
+            if q == p:
+                loops += 1
+                break
+            done.add(q)
+            q = adj[q]
+        else:
+            # the chain is open: from p's partner to its other outer end
+            r = link[p]
+            done.add(r)
+            r = adj[r]
+            while r in link:
+                done.add(r)
+                r = link[r]
+                done.add(r)
+                r = adj[r]
+            q, r = moved(q), moved(r)
+            out[q] = r
+            out[r] = q
+    return LinkDiagram(d.n - len(dead), out, loops)
+
+
 def smooth(d: LinkDiagram, c: int, kind: str) -> LinkDiagram:
-    """Replace crossing c by the A or B smoothing."""
+    """Replace crossing c by the A or B smoothing; the other crossings
+    keep their order, as _drop keeps it."""
     if kind == "A":
-        pairs = [(4 * c, 4 * c + 1), (4 * c + 2, 4 * c + 3)]
+        join = [(4 * c, 4 * c + 1), (4 * c + 2, 4 * c + 3)]
     elif kind == "B":
-        pairs = [(4 * c, 4 * c + 3), (4 * c + 1, 4 * c + 2)]
+        join = [(4 * c, 4 * c + 3), (4 * c + 1, 4 * c + 2)]
     else:
         raise ValueError(kind)
-    arcs, loops = fuse(d.adj, pairs)
-    return _closed(d.n, arcs, d.loops + len(loops), {c})
+    return _drop(d, join, [c])
 
 
 # Plugs a and b sit on one crossing iff a ^ b < 4, and their slots are
 # an odd distance apart iff (a ^ b) & 1.
 
-def _find_kink(d: LinkDiagram):
-    for a, b in enumerate(d.adj):
-        if a < b and a ^ b < 4 and (a ^ b) & 1:
-            return a, b
-    return None
-
-
-def _find_bigon(d: LinkDiagram):
-    adj = d.adj
-    for a, b in enumerate(adj):
-        # reducible only when both strands stay on one level, which
-        # makes each bigon arc join slots of equal parity
-        if a >= b or (a ^ b) & 1 or a ^ b < 4:
-            continue
-        # look for a second arc between the two crossings, adjacent on
-        # both, so its slots are of equal parity as well
-        for a2 in (a & ~3 | (a + 1) & 3, a & ~3 | (a - 1) & 3):
-            b2 = adj[a2]
-            if b2 ^ b < 4 and (b2 ^ b) & 1:
-                return (a, b), (a2, b2)
-    return None
-
-
 def reduce_once(d: LinkDiagram):
     """One Reidemeister 1 or 2 reduction, or None: the kink with the
     smallest plug if there is one, else the bigon with the smallest
-    plug."""
-    kink = _find_kink(d)
-    if kink:
-        # the smoothing that joins the kink's two ends splits it off
-        # as a loop, which R1 removes
-        a, b = kink
-        s = smooth(d, a // 4, "A" if (a + b) % 4 == 1 else "B")
-        return LinkDiagram(s.n, s.adj, s.loops - 1)
-    bigon = _find_bigon(d)
-    if bigon:
-        (a, b), (a2, b2) = bigon
-        # both strands pass straight through both crossings
-        pairs = [(p, _through(p)) for p in (a, b, a2, b2)]
-        arcs, loops = fuse(d.adj, pairs)
-        return _closed(d.n, arcs, d.loops + len(loops), {a // 4, b // 4})
-    return None
+    plug.  One pass over the table finds either; the other crossings
+    keep their order, as _drop keeps it."""
+    adj, bigon = d.adj, None
+    for a, b in enumerate(adj):
+        if a > b:
+            continue
+        if a ^ b < 4:
+            if (a ^ b) & 1:
+                # the smoothing that joins the kink's two ends splits
+                # it off as a loop, which R1 removes
+                s = smooth(d, a >> 2, "A" if (a + b) % 4 == 1 else "B")
+                return LinkDiagram(s.n, s.adj, s.loops - 1)
+        # reducible only when both strands stay on one level, which
+        # makes each bigon arc join slots of equal parity; the first
+        # such arc with a second arc between the two crossings,
+        # adjacent on both, so its slots are of equal parity as well
+        elif bigon is None and not (a ^ b) & 1:
+            for a2 in (a & ~3 | (a + 1) & 3, a & ~3 | (a - 1) & 3):
+                b2 = adj[a2]
+                if b2 ^ b < 4 and (b2 ^ b) & 1:
+                    bigon = a, b, a2, b2
+                    break
+    if bigon is None:
+        return None
+    # both strands pass straight through both crossings
+    a, b = bigon[:2]
+    return _drop(d, [(p, _through(p)) for p in bigon],
+                 sorted((a >> 2, b >> 2)))
 
 
 def simplify(d: LinkDiagram) -> LinkDiagram:
@@ -738,9 +782,7 @@ def faces(d: LinkDiagram):
     fixed by the plug it leaves from; the next dart of the face turns
     left, leaving from the plug one step counter clockwise of adj[p].
     """
-    adj, turn = d.adj, _plugs(range(d.n), _TURN)
-    seen = bytearray(4 * d.n)
-    out = []
+    adj, seen, out = d.adj, bytearray(4 * d.n), []
     for start in range(4 * d.n):
         if seen[start]:
             continue
@@ -749,7 +791,8 @@ def faces(d: LinkDiagram):
         while not seen[p]:
             seen[p] = 1
             face.append(p)
-            p = turn[adj[p]]
+            p = adj[p]
+            p = p - 3 if p & 3 == 3 else p + 1
         out.append(tuple(face))
     return out
 
@@ -793,14 +836,28 @@ def canonical_code(d: LinkDiagram, labels=None) -> str:
             labels.update((c, x + base) for c, x in piece.items())
             base += 4 * len(code)
         rest = [c for c in rest if c not in piece]
-    # a plug pair (crossing id, slot) is held as 4 * id + slot, which
-    # keeps the order of the pairs
+    names = _plug_names(max(map(len, codes)))
     body = ";".join(
-        ",".join("%d.%d %d.%d %d.%d %d.%d" % (
-            a >> 2, a & 3, b >> 2, b & 3, c >> 2, c & 3, e >> 2, e & 3)
-            for a, b, c, e in code)
+        ",".join(["%s %s %s %s" % (names[a], names[b], names[c], names[e])
+                  for a, b, c, e in code])
         for code in codes)
     return body + "|%d" % d.loops
+
+
+# a plug pair (crossing id, slot) is held as 4 * id + slot, which keeps
+# the order of the pairs; _NAMES[4 * id + slot] is its text "id.slot"
+_NAMES = []
+
+
+def _plug_names(k):
+    """_NAMES, covering the plugs of k crossings at least.  A longer
+    list replaces the old one whole, so a reader holding it is never
+    handed a half-filled list."""
+    global _NAMES
+    if len(_NAMES) < 4 * k:
+        _NAMES = ["%d.%d" % divmod(p, 4)
+                  for p in range(max(4 * k, 2 * len(_NAMES)))]
+    return _NAMES
 
 
 def relabel(d: LinkDiagram, labels) -> LinkDiagram:

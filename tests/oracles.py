@@ -70,8 +70,10 @@ writes them, so these live here with the tests that read them.
 copying_smooth and copying_reduce_once smooth a crossing and remove a
 kink or bigon on a dict copy of the plug table with walk_fuse and the
 arithmetic finders, deleting a bigon's two arcs before fusing the
-crossings' outer plugs; the package passes the table to fuse as it is
-and fuses a bigon straight through.
+crossings' outer plugs, and renumber every plug of what is left
+through without_crossings; the package patches a copy of the table,
+walks only the chains through the dropped plugs, fuses a bigon
+straight through and finds a kink or bigon in one pass.
 """
 
 from dataclasses import replace
@@ -81,7 +83,7 @@ from qalinks import conway
 from qalinks import homology as H
 from qalinks.conway import Neg, Poly, Prod, Ram, Seq, ram_summands
 from qalinks.diagram import (
-    DisconnectedDiagramError, LinkDiagram, _closed, _through, crossing_signs,
+    DisconnectedDiagramError, LinkDiagram, _through, crossing_signs,
     graph_components,
 )
 from qalinks.invariants import LaurentPoly
@@ -720,8 +722,7 @@ def walk_fuse(arcs, pairs):
     """diagram.fuse by a walk from every surviving plug: each arc is
     followed through the connectors to its far end, and the connector
     chains no walk met are the new loops, each listed by its first
-    plug in the order of pairs.  arcs is a dict, or a plug table, whose
-    values are its plugs."""
+    plug in the order of pairs."""
     loops = []
     link = {}
     for a, b in pairs:
@@ -785,12 +786,24 @@ def arithmetic_find_bigon(d):
     return None
 
 
+def without_crossings(n, arcs, loops, dead):
+    """The diagram of an arc dict over the plugs of n crossings, as
+    walk_fuse returns it, with the dead crossings gone: the others are
+    numbered 0, 1, ... in their old order, and every plug is renamed
+    through that numbering."""
+    ids = {c: k for k, c in enumerate(c for c in range(n) if c not in dead)}
+    adj = [None] * (4 * len(ids))
+    for p, q in arcs.items():
+        adj[4 * ids[p // 4] + p % 4] = 4 * ids[q // 4] + q % 4
+    return LinkDiagram(len(ids), adj, loops)
+
+
 def copying_smooth(d, c, kind):
     """smooth on a dict copy of the plug table."""
     slots = {"A": [(0, 1), (2, 3)], "B": [(0, 3), (1, 2)]}[kind]
     pairs = [(4 * c + s, 4 * c + t) for s, t in slots]
     arcs, loops = walk_fuse(dict(enumerate(d.adj)), pairs)
-    return _closed(d.n, arcs, d.loops + len(loops), {c})
+    return without_crossings(d.n, arcs, d.loops + len(loops), {c})
 
 
 def copying_reduce_once(d):
@@ -810,5 +823,6 @@ def copying_reduce_once(d):
             del arcs[p]
         pairs = [(_through(a), _through(b)), (_through(a2), _through(b2))]
         arcs, loops = walk_fuse(arcs, pairs)
-        return _closed(d.n, arcs, d.loops + len(loops), {a // 4, b // 4})
+        return without_crossings(d.n, arcs, d.loops + len(loops),
+                                 {a // 4, b // 4})
     return None

@@ -296,6 +296,16 @@ class TestCanonicalCodeOracle:
             for e in self.derived(d):
                 assert D.canonical_code(e) == brute_canonical_code(e)
 
+    def test_plug_names_grow_on_demand(self, monkeypatch):
+        # a code's text comes from a list of "id.slot" names that grows
+        # as codes need it: start it empty, then outgrow it
+        monkeypatch.setattr(D, "_NAMES", [])
+        rng = random.Random(64)
+        big = D.from_braid([rng.choice((1, -1, 2, -2)) for _ in range(70)], 3)
+        assert len(D.graph_components(big)) == 1 and big.n > 64
+        for d in (build("3"), big, build("2 2")):
+            assert D.canonical_code(d) == brute_canonical_code(d)
+
     def test_symmetric_inputs(self):
         for d in self.SYMMETRIC:
             # several starts tie on every row up to the last one
@@ -376,11 +386,11 @@ class TestFuseAgainstWalk:
     def test_random_fusions(self):
         rng = random.Random(22)
         cases = []
-        # plug tables, read as they are, with any of their plugs fused
+        # plug tables as dicts, with any of their plugs fused
         for d in mixed_closures(9, 80):
             for _ in range(4):
                 k = rng.randint(1, 2 * d.n)
-                cases.append((d.adj, self.pairs(
+                cases.append((dict(enumerate(d.adj)), self.pairs(
                     rng, rng.sample(range(4 * d.n), 2 * k))))
         # arc dicts over corner names and tuples as well as plugs, in
         # a random key order

@@ -18,7 +18,10 @@ from qalinks.qa import (
 from qalinks.classify import montesinos_qa
 from qalinks.conway import conway_to_montesinos, parse
 
-from oracles import copying_reduce_once, copying_smooth
+from oracles import (
+    arithmetic_find_bigon, arithmetic_find_kink, copying_reduce_once,
+    copying_smooth,
+)
 from test_diagram import SYMBOLS, mixed_closures
 from test_homology import BATTERY
 
@@ -257,19 +260,44 @@ def test_representative_is_the_decoded_code():
             assert rep == decoded
 
 
+def reduction_kind(d):
+    """What copying_reduce_once removes from d, or None: "kink", or a
+    bigon, "bigon at last" when one of its crossings is the last,
+    "neighbouring bigon" when they are numbered one apart, else
+    "bigon"."""
+    if arithmetic_find_kink(d):
+        return "kink"
+    bigon = arithmetic_find_bigon(d)
+    if bigon is None:
+        return None
+    (a, b), _ = bigon
+    c, e = sorted((a // 4, b // 4))
+    if e == d.n - 1:
+        return "bigon at last"
+    return "neighbouring bigon" if e == c + 1 else "bigon"
+
+
 def test_smoothing_matches_the_copying_oracle():
-    loops_formed = 0
-    for d in REPRESENTED:
+    # the smoothings and whole reduction runs of the represented corpus
+    # and of seeded closures, which reach kinks, free loops and bigons
+    # of every placement; the tables must agree entry for entry
+    loops_formed, kinds = 0, collections.Counter()
+    for d in REPRESENTED + mixed_closures(27, 300):
+        kinds["free loops"] += d.loops > 0
         for c in range(d.n):
             for kind in "AB":
                 s = D.smooth(d, c, kind)
                 assert s == copying_smooth(d, c, kind)
                 loops_formed += s.loops > d.loops
+                kinds["smoothed " + str(reduction_kind(s))] += 1
         while d is not None:
+            kinds[reduction_kind(d)] += 1
             nxt = D.reduce_once(d)
             assert nxt == copying_reduce_once(d)
             d = nxt
-    assert loops_formed > 0
+    assert loops_formed > 0 and kinds["free loops"] > 0
+    for kind in ("kink", "bigon", "neighbouring bigon", "bigon at last"):
+        assert kinds[kind] > 0 and kinds["smoothed " + kind] > 0, kinds
 
 
 def test_smoothing_counts_the_loops_that_form():
@@ -362,9 +390,13 @@ def test_each_plug_table_is_coded_once_per_search(monkeypatch):
     assert certified == 2
 
 
-# canonical_code calls of one search under the default config.  Slides
-# and smoothings built on the representatives instead of the frames
-# read 86, 114, 270, 168, 271, 270, 218 and 287.
+# canonical_code calls of one search under the default config, one per
+# plug table the search meets; fewer hits in the search's memo move
+# them.  Slides and smoothings built on the representatives instead of
+# the frames read 86, 114, 270, 168, 271, 270, 218 and 287 (the first
+# eight), and renumbering a smoothing or reduction by moving the last
+# crossing into the dropped slot reads 71, 62, 188, 170, 302, 228, 228,
+# 285 and 423, with every node count unchanged.
 CODE_PINS = {
     "3,3,-3": 62,
     "4,3,-3": 55,
@@ -374,10 +406,12 @@ CODE_PINS = {
     "(3,-2 1) (2 1,2)": 219,
     "6*2.2 1.-2 0.-1.-2": 181,
     "6*2.3 1.-2 0.-1.-2": 191,
+    "6*2.4 1.-2 0.-1.-2": 251,
 }
 
 
 def test_codes_per_search_are_pinned(monkeypatch):
+    assert CODE_PINS.keys() == SEARCH_PINS.keys()
     real, calls = D.canonical_code, []
     monkeypatch.setattr(qa, "canonical_code",
                         lambda d, labels=None: calls.append(1)
