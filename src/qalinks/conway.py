@@ -82,10 +82,6 @@ class Ram:
         if len(self.runs) != len(self.parts):
             raise ValueError("one run count per part")
 
-    @property
-    def trailing_twists(self):
-        return self.runs[-1]
-
 
 @dataclass(frozen=True)
 class Prod:

@@ -17,7 +17,9 @@ Conventions used throughout:
   with one square diagonal, 10*** of the octahedron minus two disjoint
   edges that share no face (the only other planar graph with V=F=6,
   E=10 and minimum degree and face size 3, so the three 10-vertex
-  basic polyhedra are exactly the medials of these dual pairs)
+  basic polyhedra are exactly the medials of these dual pairs); each
+  graph is given as a rotation system, its edge list and every
+  vertex's edges in counter clockwise order
 
 Plugs are encoded as 4*crossing + slot; tangles additionally carry the
 free corner plugs "NW", "SW", "SE", "NE".
@@ -32,7 +34,6 @@ their corners are names.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from qalinks import conway
@@ -128,25 +129,11 @@ _TURN = (1, 2, 3, 0)  # one step counter clockwise: the mirror
 _FLIP = (0, 3, 2, 1)  # the NW-SE diagonal swaps slots 1 and 3
 
 
-def _plugs(ids, slots=range(4)):
-    """Plug table sending 4c + s to 4 * ids[c] + slots[s]."""
-    return [4 * e + s for e in ids for s in slots]
-
-
-def _table(k, arcs, m):
-    """Plug table of k crossings holding each arc (p, q) of arcs as
-    the arc from m[p] to m[q]."""
-    adj = [0] * (4 * k)
-    for p, q in arcs:
-        adj[m[p]] = m[q]
-    return adj
-
-
 def _tangle_arcs(t: Tangle, ids, slots=range(4), corners={}):
-    """t's arcs through _plugs(ids, slots), each corner k renamed
-    corners.get(k, k)."""
+    """t's arcs with plug 4c + s renamed 4 * ids[c] + slots[s] and each
+    corner k renamed corners.get(k, k)."""
     m = dict(zip(CORNERS, CORNERS), **corners)
-    m.update(enumerate(_plugs(ids, slots)))
+    m.update(enumerate([4 * e + s for e in ids for s in slots]))
     return {m[a]: m[b] for a, b in t.arcs.items()}
 
 
@@ -223,50 +210,34 @@ def build(symbol) -> LinkDiagram:
 
 # --- basic polyhedra -------------------------------------------------
 
-def _rotations(coords, edges):
-    """Counter clockwise neighbor order at every vertex from coordinates."""
-    rot = {v: [] for v in coords}
-    for u, v in edges:
-        rot[u].append(v)
-        rot[v].append(u)
-    for v, nbrs in rot.items():
-        x0, y0 = coords[v]
-        nbrs.sort(key=lambda w: math.atan2(coords[w][1] - y0, coords[w][0] - x0))
-    return rot
-
-
-def _medial_frames(coords, edges):
+def _medial_frames(edges, rot):
     """Vertex frames of the medial map of a plane graph.
 
-    Returns a list over medial vertices (one per edge, in the order
-    given) of 4-tuples frame[k] = (other_vertex, other_dart) so that
-    dart k of vertex i attaches to dart frame[i][k][1] of vertex
-    frame[i][k][0]. Medial edges are the corners (u, a, b) of the
-    graph, where edge b follows edge a counter clockwise around vertex
-    u. A corner is dart 1 or 3 of medial vertex a and dart 0 or 2 of
-    medial vertex b, so every medial edge joins an odd dart to an even
-    one, which is what makes the filled polyhedra alternating.
+    The graph is a rotation system: edge i joins edges[i] = (u, v), and
+    rot[u] lists u's edges counter clockwise as indices into edges,
+    starting at any one of them.  Returns a list over medial vertices
+    (one per edge, in the order given) of 4-tuples frame[k] =
+    (other_vertex, other_dart) so that dart k of vertex i attaches to
+    dart frame[i][k][1] of vertex frame[i][k][0]. Medial edges are the
+    corners (u, a, b) of the graph, where edge b follows edge a counter
+    clockwise around vertex u. A corner is dart 1 or 3 of medial vertex
+    a and dart 0 or 2 of medial vertex b, so every medial edge joins an
+    odd dart to an even one, which is what makes the filled polyhedra
+    alternating.
     """
-    rot = _rotations(coords, edges)
-    index = {}
-    for i, (a, b) in enumerate(edges):
-        index[(a, b)] = i
-        index[(b, a)] = i
-    def around(u, eu):
-        nbrs = rot[u]
-        j = nbrs.index(eu)
-        return nbrs[(j + 1) % len(nbrs)], nbrs[(j - 1) % len(nbrs)]
-    # medial rotation: for edge (u, v) the four neighbors counter
+    def around(u, i):
+        r = rot[u]
+        j = r.index(i)
+        return r[(j + 1) % len(r)], r[j - 1]
+    # medial rotation: for edge i = (u, v) the four neighbors counter
     # clockwise are prev_v, next_u, prev_u, next_v, where next/prev are
     # the rotation neighbors of the edge at each endpoint
     ends = {}
     for i, (u, v) in enumerate(edges):
-        nu, pu = around(u, v)
-        nv, pv = around(v, u)
-        for k, corner in enumerate([(v, index[(v, pv)], i),
-                                    (u, i, index[(u, nu)]),
-                                    (u, index[(u, pu)], i),
-                                    (v, i, index[(v, nv)])]):
+        nu, pu = around(u, i)
+        nv, pv = around(v, i)
+        for k, corner in enumerate([(v, pv, i), (u, i, nu),
+                                    (u, pu, i), (v, i, nv)]):
             ends.setdefault(corner, []).append((i, k))
     # each corner occurs at its two medial vertices once each
     frames = [[None] * 4 for _ in edges]
@@ -276,65 +247,43 @@ def _medial_frames(coords, edges):
     return [tuple(frame) for frame in frames]
 
 
-def _prism(diagonal=False):
-    coords = {}
-    for i in range(3):
-        a = 2 * math.pi * i / 3 + math.pi / 2
-        coords["t%d" % i] = (2 * math.cos(a), 2 * math.sin(a))
-        coords["b%d" % i] = (math.cos(a), math.sin(a))
-    edges = [("t0", "t1"), ("t1", "t2"), ("t2", "t0"),
-             ("b0", "b1"), ("b1", "b2"), ("b2", "b0"),
-             ("t0", "b0"), ("t1", "b1"), ("t2", "b2")]
-    if diagonal:
-        edges.append(("t0", "b1"))
-    return coords, edges
-
-
-def _octahedron_minus():
-    coords = {}
-    for i in range(3):
-        a = 2 * math.pi * i / 3 + math.pi / 2
-        coords["t%d" % i] = (2 * math.cos(a), 2 * math.sin(a))
-        b = a - math.pi / 3
-        # strictly inside the outer chords, which sit at distance 1
-        coords["b%d" % i] = (0.9 * math.cos(b), 0.9 * math.sin(b))
-    edges = [("t1", "t2"), ("t2", "t0"),
-             ("b0", "b1"), ("b1", "b2"),
-             ("t0", "b0"), ("t0", "b1"), ("t1", "b1"),
-             ("t1", "b2"), ("t2", "b2"), ("t2", "b0")]
-    return coords, edges
-
-
-def _k4():
-    coords = {0: (0.0, 0.0)}
-    for i in range(1, 4):
-        a = 2 * math.pi * i / 3
-        coords[i] = (math.cos(a), math.sin(a))
-    # edge order gives the vertex numbering of the medial: a zigzag
-    # hamiltonian cycle (consecutive vertices adjacent)
-    edges = [(1, 2), (2, 0), (2, 3), (3, 0), (3, 1), (1, 0)]
-    return coords, edges
-
-
-def _wheel_zigzag(n):
-    coords = {0: (0.0, 0.0)}
+def _wheel(n):
+    """Hub 0 and rim 1..n counter clockwise; edge 2i - 2 is the rim
+    edge (i, i + 1) and edge 2i - 1 the spoke (i + 1, 0)."""
     edges = []
     for i in range(1, n + 1):
-        a = 2 * math.pi * i / n
-        coords[i] = (math.cos(a), math.sin(a))
-        edges.append((i, i % n + 1))
-        edges.append((i % n + 1, 0))
-    return coords, edges
+        edges += [(i, i % n + 1), (i % n + 1, 0)]
+    rot = [list(range(1, 2 * n, 2))]  # the hub meets every spoke
+    # rim vertex i meets the rim edge on, the spoke and the rim edge back
+    rot += [[(2 * i - k) % (2 * n) for k in (2, 3, 4)]
+            for i in range(1, n + 1)]
+    return edges, rot
 
 
-BASIS_FRAMES = {
-    "6*": _medial_frames(*_k4()),
-    "8*": _medial_frames(*_wheel_zigzag(4)),
-    "9*": _medial_frames(*_prism()),
-    "10*": _medial_frames(*_wheel_zigzag(5)),
-    "10**": _medial_frames(*_prism(diagonal=True)),
-    "10***": _medial_frames(*_octahedron_minus()),
+# Each basis as (edges, rot), the rotation system _medial_frames reads.
+# The edge order numbers the medial vertices, which the substitution
+# convention below reads, so no list may be reordered; for K4 and the
+# wheels it is a zigzag hamiltonian cycle (consecutive medial vertices
+# adjacent).  In the prisms and the octahedron 0, 1, 2 is the outer
+# triangle (less one edge in the octahedron) and 3, 4, 5 the inner one.
+_PRISM = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+          (0, 3), (1, 4), (2, 5)]
+_BASIS_GRAPHS = {
+    "6*": ([(1, 2), (2, 0), (2, 3), (3, 0), (3, 1), (1, 0)],
+           [[1, 3, 5], [0, 5, 4], [2, 1, 0], [2, 4, 3]]),
+    "8*": _wheel(4),
+    "9*": (_PRISM, [[0, 6, 2], [1, 7, 0], [2, 8, 1],
+                    [3, 5, 6], [4, 3, 7], [5, 4, 8]]),
+    "10*": _wheel(5),
+    "10**": (_PRISM + [(0, 4)], [[0, 9, 6, 2], [1, 7, 0], [2, 8, 1],
+                                 [3, 5, 6], [4, 3, 9, 7], [5, 4, 8]]),
+    "10***": ([(1, 2), (2, 0), (3, 4), (4, 5), (0, 3),
+               (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)],
+              [[5, 4, 1], [0, 7, 6], [1, 9, 8, 0],
+               [9, 4, 2], [6, 3, 2, 5], [7, 8, 3]]),
 }
+BASIS_FRAMES = {basis: _medial_frames(edges, rot)
+                for basis, (edges, rot) in _BASIS_GRAPHS.items()}
 
 
 # Substitution convention.  A one-crossing tangle is fixed by the diagonal
@@ -864,7 +813,10 @@ def relabel(d: LinkDiagram, labels) -> LinkDiagram:
     """d with plug 4c + s renamed labels[c] ^ s; with the labels of
     canonical_code(d) this is from_code(canonical_code(d))."""
     m = [labels[p >> 2] ^ (p & 3) for p in range(4 * d.n)]
-    return LinkDiagram(d.n, _table(d.n, enumerate(d.adj), m), d.loops)
+    adj = [0] * (4 * d.n)
+    for p, q in enumerate(d.adj):
+        adj[m[p]] = m[q]
+    return LinkDiagram(d.n, adj, d.loops)
 
 
 def from_code(code: str) -> LinkDiagram:

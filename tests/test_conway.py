@@ -112,7 +112,7 @@ def test_ram_shapes():
     t = parse("(2,2+)")
     assert t == Ram((Seq((2,)), Seq((2,))), (0, 1))
     assert t.wrapped
-    assert t.trailing_twists == 1
+    assert t.runs[-1] == 1
     t = parse("(2,3-),4+,(5,6-)")
     assert t.runs == (0, 1, 0)
     assert t.parts[0].runs == (0, -1)

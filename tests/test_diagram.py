@@ -589,6 +589,38 @@ class TestPolyhedra:
                 for k, (w, j) in enumerate(frame):
                     assert (k + j) % 2 == 1
 
+    def test_frames_are_pinned(self):
+        # every polyhedral build reads this table, so it may not move
+        digest = hashlib.sha256(repr(D.BASIS_FRAMES).encode()).hexdigest()
+        assert digest == ("1c6bb0c6c27d679e7a69079783e0f8ce"
+                          "90c673138eb422ca76ff28e78d88568e")
+
+    @pytest.mark.parametrize("basis", sorted(D._BASIS_GRAPHS))
+    def test_bases_are_polyhedral(self, basis):
+        # a plane graph (V - E + F = 2 over the faces its rotation
+        # system traces) with every vertex degree and face size >= 3
+        edges, rot = D._BASIS_GRAPHS[basis]
+        for u, r in enumerate(rot):
+            assert sorted(r) == [i for i, e in enumerate(edges)
+                                 for x in e if x == u]
+        # a dart (u, i) leaves u along edge i; its face goes on along
+        # the edge before i around the far end
+        darts = {(u, i) for u, r in enumerate(rot) for i in r}
+        sizes = []
+        while darts:
+            u, i = start = min(darts)
+            size = 0
+            while (u, i) in darts:
+                darts.remove((u, i))
+                size += 1
+                a, b = edges[i]
+                v = b if a == u else a
+                u, i = v, rot[v][rot[v].index(i) - 1]
+            assert (u, i) == start
+            sizes.append(size)
+        assert len(rot) - len(edges) + len(sizes) == 2
+        assert min(map(len, rot)) >= 3 and min(sizes) >= 3
+
     # sha256 of the newline-joined canonical codes of basis + "." * v +
     # "2 1" over every vertex v.  A 2 1 slot sees the orientation in
     # which it is substituted, so transposing the slot tangle of any

@@ -27,8 +27,7 @@ from oracles import (
     fraction_sym_signature, minor_smoothing_determinants, mirror,
     symbol_det,
 )
-from test_diagram import SYMBOLS, mixed_closures, shuffled
-from test_homology import BATTERY
+from test_diagram import BATTERY, SYMBOLS, mixed_closures, shuffled
 from test_qa import NEGATIVE_DIAGRAMS
 
 

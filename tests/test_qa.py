@@ -22,8 +22,7 @@ from oracles import (
     arithmetic_find_bigon, arithmetic_find_kink, copying_reduce_once,
     copying_smooth,
 )
-from test_diagram import SYMBOLS, mixed_closures
-from test_homology import BATTERY
+from test_diagram import BATTERY, SYMBOLS, mixed_closures
 
 
 def run(sym, **kw):
