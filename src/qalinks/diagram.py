@@ -761,8 +761,8 @@ def canonical_code(d: LinkDiagram, labels=None) -> str:
     code for planar maps). A start writes one row per crossing of its
     piece, so the first start to run out of crossings holds the
     smallest piece code, a prefix of every survivor's; that piece is
-    set aside and the rest is read again, which lists the piece codes
-    in sorted order.
+    set aside and the rest, if any, is read again, which lists the
+    piece codes in sorted order.
 
     The code is unoriented: a LinkDiagram stores no orientation, so a
     link, its reverse and a link with some components reversed share
@@ -778,13 +778,15 @@ def canonical_code(d: LinkDiagram, labels=None) -> str:
     if d.n == 0:
         return "|%d" % d.loops
     codes, rest, base = [], range(d.n), 0
-    while rest:
-        code, piece = _piece_code(d.adj, rest)
+    while True:
+        code, label, order = _piece_code(d.adj, rest, d.n)
         codes.append(code)
         if labels is not None:
-            labels.update((c, x + base) for c, x in piece.items())
+            labels.update((c, label[c] + base) for c in order)
             base += 4 * len(code)
-        rest = [c for c in rest if c not in piece]
+        if len(order) == len(rest):
+            break
+        rest = [c for c in rest if label[c] < 0]
     names = _plug_names(max(map(len, codes)))
     body = ";".join(
         ",".join(["%s %s %s %s" % (names[a], names[b], names[c], names[e])
@@ -828,12 +830,10 @@ def from_code(code: str) -> LinkDiagram:
     so corruption must not pass silently).
     """
     body, _, tail = code.rpartition("|")
-    try:
-        loops = int(tail)
-    except ValueError:
+    # only runs of 0-9: int() also takes signs, blanks, _ and other digits
+    if not (tail.isascii() and tail.isdigit()):
         raise ValueError("missing loop count in %r" % code)
-    if loops < 0:
-        raise ValueError("negative loop count in %r" % code)
+    loops = int(tail)
     adj = []  # pair k of row i of the piece at base is plug 4 * (base + i) + k
     base = 0
     if body:
@@ -845,11 +845,10 @@ def from_code(code: str) -> LinkDiagram:
                     raise ValueError("crossing row %r is not 4-valent" % row)
                 for pq in pairs:
                     e, _, t = pq.partition(".")
-                    try:
-                        e, t = int(e), int(t)
-                    except ValueError:
+                    if not (pq.isascii() and e.isdigit() and t.isdigit()):
                         raise ValueError("bad plug pair %r" % pq)
-                    if not (0 <= e < len(rows) and 0 <= t < 4):
+                    e, t = int(e), int(t)
+                    if not (e < len(rows) and t < 4):
                         raise ValueError("plug %r out of range" % pq)
                     adj.append(4 * (base + e) + t)
             base += len(rows)
@@ -886,16 +885,24 @@ def graph_components(d: LinkDiagram):
     return comps
 
 
-def _piece_code(adj, crossings):
+def _piece_code(adj, crossings, n):
     """Smallest piece code over the starts at the given crossings, read
-    in lockstep, and the crossings of that piece.
+    in lockstep, and the winning start's labels and crossing order.
 
-    A start's state maps each crossing it has seen to 4 * id + offset
-    (offset 0 or 2 is the slot its row begins at), and lists the seen
-    crossings in id order; a crossing is seen, and gets its id, before
-    its own row is written. Turning slots by offset 2 flips bit 1, so
-    a plug q of crossing e reads as label[e] ^ (q & 3)."""
-    states = [({c: side}, [c]) for c in crossings for side in (0, 2)]
+    A start's labels are a list over all n crossings: 4 * id + offset
+    for each crossing it has seen (offset 0 or 2 is the slot its row
+    begins at), -1 for the rest; its order lists the seen crossings in
+    id order.  A crossing is seen, and gets its id, before its own row
+    is written.  Turning slots by offset 2 flips bit 1, so a plug q of
+    crossing e reads as label[e] ^ (q & 3).  A row is a tuple of its
+    four reads, and a start whose first read already exceeds the best
+    row's is dropped without reading the other three."""
+    states = []
+    for c in crossings:
+        for side in (0, 2):
+            label = [-1] * n
+            label[c] = side
+            states.append((label, [c]))
     code = []
     while True:
         i = len(code)
@@ -903,18 +910,33 @@ def _piece_code(adj, crossings):
         for state in states:
             label, order = state
             if i == len(order):
-                return code, label
+                return code, label, order
             c = order[i]
-            off = label[c] & 2
-            row = []
-            for s in (off, off + 1, off ^ 2, (off ^ 2) + 1):
-                q = adj[4 * c + s]
-                e = q >> 2
-                x = label.get(e)
-                if x is None:
-                    x = label[e] = 4 * len(order) + (q & 2)
-                    order.append(e)
-                row.append(x ^ (q & 3))
+            p = c << 2 | label[c] & 2
+            q = adj[p]
+            x = label[q >> 2]
+            if x < 0:
+                x = label[q >> 2] = len(order) << 2 | q & 2
+                order.append(q >> 2)
+            x ^= q & 3
+            if best is not None and x > best[0]:
+                continue
+            q1 = adj[p + 1]
+            y = label[q1 >> 2]
+            if y < 0:
+                y = label[q1 >> 2] = len(order) << 2 | q1 & 2
+                order.append(q1 >> 2)
+            q2 = adj[p ^ 2]
+            z = label[q2 >> 2]
+            if z < 0:
+                z = label[q2 >> 2] = len(order) << 2 | q2 & 2
+                order.append(q2 >> 2)
+            q3 = adj[(p ^ 2) + 1]
+            w = label[q3 >> 2]
+            if w < 0:
+                w = label[q3 >> 2] = len(order) << 2 | q3 & 2
+                order.append(q3 >> 2)
+            row = (x, y ^ q1 & 3, z ^ q2 & 3, w ^ q3 & 3)
             if best is None or row < best:
                 best, keep = row, [state]
             elif row == best:

@@ -251,12 +251,12 @@ def smoothing_determinants(d):
     the roles swap.  With b = e_i - e_j for the edge's two faces, row
     0 dropped, the matrix determinant lemma on the Laplacian gives the
     contraction as b^T adj(R) b, and the deletion as det R - eta * b^T
-    adj(R) b; one fraction-free Gauss-Jordan pass yields det R and adj
-    R.  A loop edge (one white face at both corners) has b = 0 and
-    contracts to a split diagram, determinant 0.  A singular R (a
-    connected diagram of determinant 0) has no pivot to finish the
-    pass, and reads each contraction as the minor without both faces'
-    rows instead.
+    adj(R) b.  One sweep of R gives det R and -adj R at the face rows,
+    face 0's zero, so a loop edge (one white face at both corners)
+    reads 0 and contracts to a split diagram, determinant 0.  When the
+    sweep runs out of pivots, as on a singular R (a connected diagram
+    of determinant 0), each contraction is read as the minor without
+    both faces' rows instead.
     """
     if d.n == 0:
         return (1 if d.loops == 1 else 0), []
@@ -264,19 +264,15 @@ def smoothing_determinants(d):
         g, etas, rows = _goeritz(d, None)
     except diag.DisconnectedDiagramError:
         return 0, [(0, 0)] * d.n
-    whole, adj = _det_adj(_minor(g, (0,)))
-    if adj is not None:
-        # face 0's row and column are zero: b drops its entry there
-        adj = [[0] * len(g)] + [[0] + row for row in adj]
+    whole, neg = _det_adj(g)
     out = []
     for eta, (i, j) in zip(etas, rows):
-        if i == j:
-            con = 0
-        elif adj is None:
-            con = _sym_reduce(_minor(g, (i, j)))[1]
+        if neg is not None:
+            # b^T adj(R) b, off the symmetric -adj(R)
+            row = neg[i]
+            con = 2 * row[j] - row[i] - neg[j][j]
         else:
-            ai, aj = adj[i], adj[j]
-            con = ai[i] + aj[j] - ai[j] - aj[i]
+            con = _sym_reduce(_minor(g, (i, j)))[1] if i != j else 0
         dele = abs(whole - eta * con)
         out.append((dele, abs(con)) if eta == 1 else (abs(con), dele))
     return abs(whole), out
@@ -293,12 +289,14 @@ def _goeritz(d, color):
     holds the rows of those two faces, equal when they are one face.
 
     The faces are those of diag.faces, the diagram module's one face
-    walk, in its order, and face 0 has color 0.  Colors follow corner
-    alternation: the faces leaving the four slots of a crossing
-    alternate, and the faces either side of an arc differ, so the face
-    leaving plug 4c + s has color flip[c] ^ (s & 1) for one bit flip[c]
-    per crossing, and each face takes the color of its first dart.
-    Raises DisconnectedDiagramError on a split diagram.
+    walk, in its order, and face 0 has color 0; one pass over them
+    gives each plug the row of the face leaving it, counted among the
+    faces of its color.  Colors follow corner alternation: the faces
+    leaving the four slots of a crossing alternate, and the faces
+    either side of an arc differ, so the face leaving plug 4c + s has
+    color flip[c] ^ (s & 1) for one bit flip[c] per crossing, and each
+    face takes the color of its first dart.  Raises
+    DisconnectedDiagramError on a split diagram.
     """
     if not d.n or d.loops:
         raise diag.DisconnectedDiagramError("diagram is split")
@@ -317,17 +315,16 @@ def _goeritz(d, color):
     # a connected diagram with n crossings has n+2 faces by Euler
     if len(fs) != d.n + 2:
         raise diag.DisconnectedDiagramError("diagram is split")
-    colors = [flip[face[0] >> 2] ^ face[0] & 1 for face in fs]
+    row, count = [0] * (4 * d.n), [0, 0]
+    for face in fs:
+        k = flip[face[0] >> 2] ^ face[0] & 1
+        i = count[k]
+        count[k] = i + 1
+        for p in face:
+            row[p] = i
     if color is None:
-        color = int(2 * sum(colors) < len(fs))
-    # plug -> the row of the face leaving it, -1 for the other color
-    row, rows_used = [-1] * (4 * d.n), 0
-    for face, face_color in zip(fs, colors):
-        if face_color == color:
-            for p in face:
-                row[p] = rows_used
-            rows_used += 1
-    g = [[0] * rows_used for _ in range(rows_used)]
+        color = int(count[1] < count[0])
+    g = [[0] * count[color] for _ in range(count[color])]
     etas, rows = [], []
     for c in range(d.n):
         # corner s is the face leaving slot s + 1; corners 0 and 2 have
@@ -371,34 +368,40 @@ def _signature_colored(d, color):
     return sig - mu
 
 
-def _det_adj(m):
-    """(det m, adj m) by fraction-free Gauss-Jordan elimination on [m | I].
+def _det_adj(g):
+    """(det R, -adj R) for R, g without row and column 0, by one
+    fraction-free sweep (Gauss-Jordan in place) of R's diagonal.
 
-    Bareiss's exact division, applied above each pivot as well as below
-    it, leaves det(m) times the identity on the left and adj(m) on the
-    right (both up to the sign of the row swaps).  adj is None when m
-    is singular.
+    Pivot p at k maps each x off row and column k to (x * p - f * y) /
+    prev, f and y being x's entries in column and row k and prev the
+    pivot before (exact, as in Bareiss); row and column k stay, and the
+    pivot becomes -prev.  Any pivot order ends at det R and -adj R, so
+    each step takes the first row left with a nonzero diagonal entry.
+    -adj R keeps g's indices, with row and column 0 zero; it is None
+    when the diagonal runs out, as on every singular R, and det R then
+    comes from _sym_reduce.  g is left alone.
     """
-    n = len(m)
-    a = [list(row) + [0] * i + [1] + [0] * (n - 1 - i)
-         for i, row in enumerate(m)]
-    sign, prev = 1, 1
-    for k in range(n):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return 0, None
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
+    n = len(g)
+    a = [[0] * n] + [[0] + row[1:] for row in g[1:]]
+    todo, prev = list(range(1, n)), 1
+    while todo:
+        for k in todo:
+            if a[k][k]:
+                break
+        else:
+            return _sym_reduce(_minor(g, (0,)))[1], None
+        todo.remove(k)
         top = a[k]
         p = top[k]
-        for r in range(n):
+        for r in range(1, n):
             f = a[r][k]
             # a row with nothing to clear is unchanged when p == prev
             if r != k and (f or p != prev):
                 a[r] = [(x * p - f * y) // prev for x, y in zip(a[r], top)]
+                a[r][k] = f
+        top[k] = -prev
         prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    return prev, a
 
 
 def _sym_reduce(m):

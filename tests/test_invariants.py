@@ -304,9 +304,8 @@ def random_matrices(seed):
 
 
 class TestIntDet:
-    """Fraction-free determinants: the adjugate pass on any square
-    matrix, and the symmetric reduction on the symmetric matrices it
-    is given."""
+    """Fraction-free determinants: the adjugate sweep, and the
+    symmetric reduction on the symmetric matrices it is given."""
 
     MATRICES = random_matrices(5)
 
@@ -330,19 +329,34 @@ class TestIntDet:
         assert m == [[0, 2], [2, 1]]
 
     def test_adjugate_matches_cofactors(self):
-        for m in self.MATRICES:
-            det, adj = I._det_adj(m)
-            assert det == leibniz_det(m), m
-            if det == 0:
-                assert adj is None, m
-                continue
+        # the sweep reads g without row and column 0, so these carry
+        # junk; it never completes on a singular matrix, and its
+        # fallback, _sym_reduce, is for symmetric ones only
+        symmetric = [m for m, _ in random_symmetric(23)]
+        swept = stuck = 0
+        for m in self.MATRICES + symmetric:
             n = len(m)
+            g = [[7] * (n + 1)] + [[-5] + row for row in m]
+            before = [row[:] for row in g]
+            det, neg = I._det_adj(g)
+            assert g == before
+            if neg is None:
+                if m == [list(col) for col in zip(*m)]:
+                    assert det == leibniz_det(m), m
+                    stuck += leibniz_det(m) != 0
+                continue
+            swept += 1
+            assert det == leibniz_det(m) != 0, m
             # adj[i][j] is the (j, i) cofactor
             want = [[(-1) ** (i + j) * leibniz_det(
                 [[m[r][c] for c in range(n) if c != i]
                  for r in range(n) if r != j]) for j in range(n)]
                 for i in range(n)]
-            assert adj == want, m
+            assert neg[0] == [0] * (n + 1), m
+            assert [row[0] for row in neg] == [0] * (n + 1), m
+            assert [[-x for x in row[1:]] for row in neg[1:]] == want, m
+        # nonsingular symmetric matrices whose diagonal runs out
+        assert swept >= 100 and stuck >= 5
 
 
 def braid_closures(seed, count):
@@ -430,6 +444,11 @@ class TestSmoothingDeterminants:
             assert sum(I.determinant(d) == 0 for d in picked) >= 1
             assert sum(i == j for i, j in rows) >= 1
             assert sum(i != j and 0 in (i, j) for i, j in rows) >= 1
+        # reduced matrices whose diagonal runs out of pivots before
+        # the sweep ends, singular or not
+        stuck = [I.determinant(d) for d in connected
+                 if I._det_adj(I._goeritz(d, None)[0])[1] is None]
+        assert stuck.count(0) >= 1 and len(stuck) - stuck.count(0) >= 5
         assert [self.color(d) for d in named] == [1, 1]
         for d in named:
             self.check(d)
@@ -569,7 +588,7 @@ class TestSymSignature:
 
     def test_corpus_has_singular_and_zero_diagonal_cases(self):
         big = [m for m, _ in self.MATRICES if len(m) >= 2]
-        assert sum(I._det_adj(m)[0] == 0 for m in big) >= 20
+        assert sum(leibniz_det(m) == 0 for m in big) >= 20
         assert sum(not any(m[i][i] for i in range(len(m))) and any(map(any, m))
                    for m in big) >= 20
 
@@ -589,10 +608,11 @@ class TestSymSignature:
             if not d.n or d.loops or len(D.graph_components(d)) > 1:
                 continue
             for color in (0, 1):
-                m = I._minor(I._goeritz(d, color)[0], (0,))
+                g = I._goeritz(d, color)[0]
+                m = I._minor(g, (0,))
                 sig, det = I._sym_reduce(m)
                 assert sig == fraction_sym_signature(m), m
-                assert det == I._det_adj(m)[0], m
+                assert det == I._det_adj(g)[0], m
                 checked += 1
         assert checked > 300
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from qalinks import diagram as D
-from qalinks import qa
+from qalinks import invariants, qa
 from qalinks.invariants import LaurentPoly, determinant, jones
 from qalinks.qa import (
     QACertificate, SearchConfig, certificate_from_dict, certificate_to_dict,
@@ -19,8 +19,8 @@ from qalinks.classify import montesinos_qa
 from qalinks.conway import conway_to_montesinos, parse
 
 from oracles import (
-    arithmetic_find_bigon, arithmetic_find_kink, copying_reduce_once,
-    copying_smooth,
+    arithmetic_find_bigon, arithmetic_find_kink, brute_canonical_code,
+    code_from, copying_reduce_once, copying_smooth,
 )
 from test_diagram import BATTERY, SYMBOLS, mixed_closures
 
@@ -389,6 +389,37 @@ def test_each_plug_table_is_coded_once_per_search(monkeypatch):
     assert certified == 2
 
 
+def test_searched_tables_get_the_brute_force_code(monkeypatch):
+    # every plug table the searches code, with the crossing map the
+    # search relabels by; the corpus has starts that lose on row 0's
+    # first read, starts that lose later in row 0, and ties that last
+    # past row 0
+    real, coded = D.canonical_code, {}
+
+    def spy(d, labels=None):
+        code = real(d, labels)
+        coded[tuple(d.adj), d.loops] = d, code, labels
+        return code
+
+    monkeypatch.setattr(qa, "canonical_code", spy)
+    for sym in NEGATIVE_DIAGRAMS + ["6*2.%d 1.-2 0.-1.-2" % p for p in (2, 3)]:
+        run(sym)
+    assert len(coded) > 1000
+    first_read = later = tied = 0
+    for d, code, labels in coded.values():
+        assert code == brute_canonical_code(d)
+        assert D.relabel(d, labels) == D.from_code(code)
+        if d.n and len(D.graph_components(d)) == 1:
+            codes = [code_from(d, c, side) for c in range(d.n)
+                     for side in (0, 2)]
+            best = min(codes)
+            first_read += sum(c[0][0] > best[0][0] for c in codes)
+            later += sum(c[0][0] == best[0][0] and c[0] > best[0]
+                         for c in codes)
+            tied += sum(c[:2] == best[:2] for c in codes) > 1
+    assert first_read > 1000 and later > 100 and tied > 100
+
+
 # canonical_code calls of one search under the default config, one per
 # plug table the search meets; fewer hits in the search's memo move
 # them.  Slides and smoothings built on the representatives instead of
@@ -620,6 +651,43 @@ def test_corrupted_shared_node_fails():
     for hits in (range(counts[id(shared)]), {counts[id(shared)] - 1}):
         assert not verify_certificate(tampered(hits))
     assert verify_certificate(tampered(()))
+
+
+def test_audit_does_not_use_the_search_elimination(monkeypatch):
+    # the audit recomputes every determinant as a minor (determinant),
+    # never by the adjugate sweep the search reads its nodes off
+    certs = [run(sym).certificate for sym in sorted(SEARCH_PINS)
+             if SEARCH_PINS[sym][0] == "certified"]
+    assert len(certs) == 3
+
+    def refuse(*args):
+        raise AssertionError("the audit used the search's elimination")
+
+    for module in (qa, invariants):
+        monkeypatch.setattr(module, "smoothing_determinants", refuse)
+    monkeypatch.setattr(invariants, "_det_adj", refuse)
+    for cert in certs:
+        assert verify_certificate(cert)
+
+
+# spellings of the trefoil's numbers other than the runs of 0-9 that
+# codes are written in, most of which int() reads as the same values:
+# "0.1" opening its second row, then its loop count
+TREFOIL = "1.1 1.0 2.1 2.0,0.1 0.0 2.3 2.2,0.3 0.2 1.3 1.2|0"
+SPELLINGS = ([TREFOIL.replace(",0.1 ", "," + pq + " ")
+              for pq in ("+0.1", "0.+1", "-0.1", "0.0_1", "0. 1", "0.1 ",
+                         "0.\t1", "\u0660.1", "0.\u0661", "0.\uff11")]
+             + [TREFOIL[:-1] + n
+                for n in ("+0", "-0", " 0", "0 ", "0_0", "\u0660", "")])
+
+
+@pytest.mark.parametrize("code", SPELLINGS)
+def test_codes_spell_numbers_in_ascii_digits_only(code):
+    cert = run("3").certificate
+    assert cert.diagram_code == TREFOIL and verify_certificate(cert)
+    with pytest.raises(ValueError):
+        D.from_code(code)
+    assert not verify_certificate(replace(cert, diagram_code=code))
 
 
 def test_certificate_text_is_pinned():
