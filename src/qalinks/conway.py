@@ -9,8 +9,10 @@ Dialect rules implemented here:
 * "," joins tangles after flipping each over the NW-SE diagonal
   (pretzel style); juxtaposition "t1 t2" is Conway's product, flip t1
   over the diagonal and add t2 on the right
-* a run of "+" at the end of a comma list appends that many extra
-  positive crossings; a run of "-" mirrors that many final parts
+* twist marks after a part of a comma join, and "-( )", resolve at
+  parse, so the syntax tree holds only what the symbol means: a run of
+  k "+" inserts k parts "1" where it stands, a run of k "-" mirrors the
+  k parts before it, and "-( ... )" is the mirror of the group
 * polyhedral symbols are built on the basic polyhedra 6*, 8*, 9*, 10*,
   10**, 10***; vertex tangles are separated by ".", a ":" abbreviates
   ".1.", omitted and trailing slots default to 1, and a symbol whose
@@ -20,7 +22,7 @@ Dialect rules implemented here:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 
@@ -61,26 +63,9 @@ class Seq:
 
 @dataclass(frozen=True)
 class Ram:
-    """Comma join of tangles, each part flipped over the main diagonal.
-
-    runs[i] records the twist marks written right after part i:
-    a positive count k stands for a run of "+" marks
-    and inserts k extra positive crossings at that point of the join,
-    a negative count -k stands for a run of "-" marks and mirrors the
-    k parts ending at position i.  wrapped records whether the source
-    wrapped the join in parentheses; it is display-only and ignored by
-    equality.
-    """
+    """Comma join of tangles, each part flipped over the main diagonal."""
 
     parts: tuple
-    runs: tuple = None
-    wrapped: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if self.runs is None:
-            object.__setattr__(self, "runs", (0,) * len(self.parts))
-        if len(self.runs) != len(self.parts):
-            raise ValueError("one run count per part")
 
 
 @dataclass(frozen=True)
@@ -91,19 +76,11 @@ class Prod:
 
 
 @dataclass(frozen=True)
-class Neg:
-    """Mirror image of the inner tangle (all crossings switched)."""
-
-    inner: object
-
-
-@dataclass(frozen=True)
 class Poly:
     """Basic polyhedron with a tangle substituted at every vertex."""
 
     basis: str
     slots: tuple
-    basis_shown: bool = field(default=True, compare=False)
 
 
 BASIS_VERTICES = {"6*": 6, "8*": 8, "9*": 9, "10*": 10, "10**": 10, "10***": 10}
@@ -137,20 +114,29 @@ class _Parser:
             self.error("unexpected %r" % self.peek())
 
     def parse_ram(self):
-        parts = [self.parse_prod()]
-        runs = [self.parse_marks(1)]
-        while self.peek() == ",":
+        """A comma join, each part's twist marks resolved in place."""
+        parts = []
+        written = 0
+        while True:
+            parts.append(self.parse_prod())
+            written += 1
+            run = self.parse_marks(written)
+            if run > 0:
+                parts.extend([_ONE] * run)
+            elif run < 0:
+                parts[run:] = [mirror_expr(p) for p in parts[run:]]
+            if self.peek() != ",":
+                break
             self.i += 1
             if self.peek() == " ":
                 self.i += 1
-            parts.append(self.parse_prod())
-            runs.append(self.parse_marks(len(parts)))
-        if len(parts) == 1 and not runs[0]:
+        if written == 1 and not run:
             return parts[0]
-        return Ram(tuple(parts), tuple(runs))
+        return Ram(tuple(parts))
 
-    def parse_marks(self, parts_so_far):
-        """Twist marks after a part: a run of "+" or of "-"."""
+    def parse_marks(self, parts_written):
+        """Twist marks after a part, a run of "+" or of "-": the run's
+        length, negative for "-"."""
         mark = self.peek()
         if mark not in ("+", "-"):
             return 0
@@ -162,7 +148,7 @@ class _Parser:
             self.error("mixed + and - twist marks")
         if mark == "+":
             return count
-        if count > parts_so_far:
+        if count > parts_written:
             self.error("more - marks than parts")
         return -count
 
@@ -194,7 +180,7 @@ class _Parser:
             elif ch == "-" and at_start and self.peek(1) == "(":
                 flush()
                 self.i += 1
-                factors.append(Neg(self.parse_group()))
+                factors.append(mirror_expr(self.parse_group()))
                 at_start = False
             elif ch == "-" and at_start and _digit(self.peek(1)):
                 self.i += 1
@@ -238,8 +224,6 @@ class _Parser:
         if self.peek() != ")":
             self.error("expected )")
         self.i += 1
-        if isinstance(inner, Ram):
-            inner = replace(inner, wrapped=True)
         return inner
 
 
@@ -264,7 +248,10 @@ def _split_slots(text, start):
 
 
 def parse(text: str):
-    """Parse a Conway symbol into its syntax tree.
+    """Parse a Conway symbol into the syntax tree of what it means.
+
+    Twist marks and "-( )" groups resolve here, so two spellings of one
+    tangle, such as "3,3,2-" and "3,3,-2", give equal trees.
 
     The pos of a ConwaySyntaxError indexes the symbol after its ends are
     stripped of whitespace and each inner run of whitespace is collapsed
@@ -295,7 +282,7 @@ def parse(text: str):
         raise VertexArityError(
             "%d tangles for the %d vertices of %s" % (len(slots), n, basis))
     slots.extend([_ONE] * (n - len(slots)))
-    return Poly(basis, tuple(slots), m is not None)
+    return Poly(basis, tuple(slots))
 
 
 def mirror_expr(node):
@@ -303,32 +290,12 @@ def mirror_expr(node):
     if isinstance(node, Seq):
         return Seq(tuple(-t for t in node.terms))
     if isinstance(node, Ram):
-        return Ram(tuple(mirror_expr(p) for p in ram_summands(node)),
-                   wrapped=node.wrapped)
+        return Ram(tuple(mirror_expr(p) for p in node.parts))
     if isinstance(node, Prod):
         return Prod(tuple(mirror_expr(f) for f in node.factors))
-    if isinstance(node, Neg):
-        return node.inner
     if isinstance(node, Poly):
         return replace(node, slots=tuple(mirror_expr(s) for s in node.slots))
     raise TypeError(type(node).__name__)
-
-
-def ram_summands(node):
-    """Parts of a comma join with the twist marks resolved in place.
-
-    A "-" run of length k mirrors the k parts it follows; a "+" run of
-    length k inserts k single positive crossings at its position.
-    """
-    out = []
-    for part, run in zip(node.parts, node.runs):
-        out.append(part)
-        if run < 0:
-            for j in range(len(out) + run, len(out)):
-                out[j] = mirror_expr(out[j])
-        else:
-            out.extend([_ONE] * run)
-    return out
 
 
 def cf_pair(terms) -> tuple:
@@ -355,21 +322,22 @@ def cf_pair(terms) -> tuple:
 def tangle_fraction(node) -> tuple:
     """Slope (num, den) of a rational tangle symbol.
 
-    Understands integer sequences, products of them, and mirrors.
-    Raises NotRationalTangleError for anything wider than that.
+    Understands integer sequences, and products of them whose factors
+    after the first are single integers.  Raises NotRationalTangleError
+    for anything wider than that.
     """
     if isinstance(node, Seq):
         return cf_pair(node.terms)
     if isinstance(node, Prod):
         terms = []
         for f in node.factors:
-            if not isinstance(f, Seq):
+            # a product adds each factor to the flipped tangle before
+            # it, and adding a tangle wider than an integer leaves the
+            # rational tangles: "(2 1) (3 4)" builds 2/3 + 13/3
+            if not isinstance(f, Seq) or (terms and len(f.terms) > 1):
                 raise NotRationalTangleError(repr(node))
             terms.extend(f.terms)
         return cf_pair(terms)
-    if isinstance(node, Neg):
-        p, q = tangle_fraction(node.inner)
-        return -p, q
     raise NotRationalTangleError(repr(node))
 
 
@@ -445,7 +413,7 @@ def conway_to_montesinos(node) -> MontesinosSpec:
         raise NotMontesinosFormError(repr(node))
     e = 0
     branches = []
-    for part in ram_summands(node):
+    for part in node.parts:
         try:
             p, q = tangle_fraction(part)
         except NotRationalTangleError:

@@ -10,8 +10,8 @@ Conventions used throughout:
   SW->2, SE->3
 * the A smoothing joins plugs (0,1) and (2,3); the B smoothing joins
   (0,3) and (1,2)
-* mirroring rotates every plug label by one; flipping a tangle over
-  its NW-SE diagonal swaps plugs 1 and 3 and corners NE and SW
+* flipping a tangle over its NW-SE diagonal swaps plugs 1 and 3 and
+  corners NE and SW
 * basic polyhedra are medial graphs: 6* of K4, 8* of the 4-wheel,
   9* of the triangular prism, 10* of the 5-wheel, 10** of the prism
   with one square diagonal, 10*** of the octahedron minus two disjoint
@@ -34,10 +34,11 @@ their corners are names.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from qalinks import conway
-from qalinks.conway import Neg, Poly, Prod, Ram, Seq
+from qalinks.conway import Poly, Prod, Ram, Seq
 
 
 class DisconnectedDiagramError(ValueError):
@@ -125,7 +126,6 @@ def _one_crossing(sign):
     return Tangle(1, arcs)
 
 
-_TURN = (1, 2, 3, 0)  # one step counter clockwise: the mirror
 _FLIP = (0, 3, 2, 1)  # the NW-SE diagonal swaps slots 1 and 3
 
 
@@ -150,10 +150,6 @@ def transpose(t: Tangle) -> Tangle:
     """Flip over the NW-SE diagonal, keeping over/under as drawn."""
     arcs = _tangle_arcs(t, range(t.n), _FLIP, {"NE": "SW", "SW": "NE"})
     return Tangle(t.n, arcs, t.loops)
-
-
-def tangle_mirror(t: Tangle) -> Tangle:
-    return Tangle(t.n, _tangle_arcs(t, range(t.n), _TURN), t.loops)
 
 
 @dataclass(slots=True)
@@ -191,12 +187,10 @@ def _expr_tangle(node) -> Tangle:
         return t
     if isinstance(node, Ram):
         t = None
-        for part in conway.ram_summands(node):
+        for part in node.parts:
             nxt = transpose(_expr_tangle(part))
             t = nxt if t is None else add(t, nxt)
         return t
-    if isinstance(node, Neg):
-        return tangle_mirror(_expr_tangle(node.inner))
     raise TypeError("cannot use %s as a tangle" % type(node).__name__)
 
 
@@ -829,8 +823,12 @@ def from_code(code: str) -> LinkDiagram:
     inconsistent codes (certificates are audited through this path,
     so corruption must not pass silently).
     """
+    # a number is spelled as canonical_code writes it: a string of 0-9
+    # (int() also takes signs, blanks, _ and other digits) with no
+    # leading zero, so that one diagram has one code
+    if re.search(r"(?<![0-9])0[0-9]", code):
+        raise ValueError("leading zero in %r" % code)
     body, _, tail = code.rpartition("|")
-    # only runs of 0-9: int() also takes signs, blanks, _ and other digits
     if not (tail.isascii() and tail.isdigit()):
         raise ValueError("missing loop count in %r" % code)
     loops = int(tail)

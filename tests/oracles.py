@@ -8,7 +8,6 @@ tangle:
     pair(integer n)   = (n, 1)
     pair(flip T)      = swapped pair
     pair(A + B)       = (n_A d_B + n_B d_A, d_A d_B), never reduced
-    pair(mirror T)    = (-n, d)
 
 det of the numerator closure of T is |n|. The rules are the classical
 series/parallel (Kirchhoff) identities for the Goeritz determinant, so
@@ -44,7 +43,8 @@ tests build them for that, so the check lives here.
 
 mirror switches every crossing by turning its slots, the plug
 arithmetic of one step counter clockwise; the package mirrors only
-tangles, and no caller of it needs a mirrored diagram.
+syntax trees, negating their twist counts, and no caller of it needs
+a mirrored diagram.
 
 checkerboard colors the faces of dart_faces by a search over their
 dart adjacency, and checkerboard_goeritz builds the Goeritz
@@ -62,10 +62,10 @@ connector chains and copies the other arcs.  arithmetic_find_kink and
 arithmetic_find_bigon find the kink and bigon with the smallest plug
 by crossing and slot arithmetic; the package tests plug bits.
 
-render writes a syntax tree back as its symbol, normalize resolves
-a comma join's twist marks, and symbol_crossings counts a symbol's
-crossings before reduction; the package reads symbols and never
-writes them, so these live here with the tests that read them.
+render writes a syntax tree back as a symbol, and symbol_crossings
+counts a symbol's crossings before reduction; the package reads
+symbols and never writes them, so these live here with the tests that
+read them.
 
 copying_smooth and copying_reduce_once smooth a crossing and remove a
 kink or bigon on a dict copy of the plug table with walk_fuse and the
@@ -76,12 +76,11 @@ walks only the chains through the dropped plugs, fuses a bigon
 straight through and finds a kink or bigon in one pass.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from qalinks import conway
 from qalinks import homology as H
-from qalinks.conway import Neg, Poly, Prod, Ram, Seq, ram_summands
+from qalinks.conway import Poly, Prod, Ram, Seq
 from qalinks.diagram import (
     DisconnectedDiagramError, LinkDiagram, _through, crossing_signs,
     graph_components,
@@ -110,49 +109,51 @@ def _render_seq(node):
     head = node.terms[0]
     if head < 0 and head != -1 and all(t <= 0 for t in node.terms):
         return "-" + " ".join(str(-t) for t in node.terms)
+    signs = [t for t in node.terms if t]
+    if any(a < 0 < b for a, b in zip(signs, signs[1:])):
+        # a "-" negates every term after it in the run, so a positive
+        # term after a negative one is written as the mirror's mirror
+        return "-(" + " ".join(str(-t) for t in node.terms) + ")"
     return " ".join(str(t) for t in node.terms)
 
 
-def _render_run(run):
-    if run > 0:
-        return "+" * run
-    return "-" * -run
-
-
-def _render_ram_body(node):
-    out = []
-    for part, run in zip(node.parts, node.runs):
-        if isinstance(part, Ram):
-            s = "(" + _render_ram_body(part) + ")"
-        else:
-            s = _render_tangle(part)
-        out.append(s + _render_run(run))
-    return ",".join(out)
+def _render_part(node):
+    """node as one part of a comma join: a join inside a join is a
+    group."""
+    if isinstance(node, Ram):
+        return "(" + _render_tangle(node) + ")"
+    return _render_tangle(node)
 
 
 def _render_tangle(node):
     if isinstance(node, Seq):
         return _render_seq(node)
     if isinstance(node, Ram):
-        body = _render_ram_body(node)
-        return "(" + body + ")" if node.wrapped else body
+        if len(node.parts) == 1:
+            # a join of one part is written as its mirror and a "-"
+            return _render_part(conway.mirror_expr(node.parts[0])) + "-"
+        return ",".join(_render_part(p) for p in node.parts)
     if isinstance(node, Prod):
         out = []
+        prev = None
         for f in node.factors:
-            s = _render_tangle(f)
-            if isinstance(f, Ram):
-                s = "(" + _render_ram_body(f) + ")"
-            out.append(s)
+            # a bare sequence would run on into a sequence before it
+            if isinstance(f, Seq) and not isinstance(prev, Seq):
+                out.append(_render_seq(f))
+            else:
+                out.append("(" + _render_tangle(f) + ")")
+            prev = f
         return " ".join(out)
-    if isinstance(node, Neg):
-        inner = node.inner
-        body = _render_ram_body(inner) if isinstance(inner, Ram) else _render_tangle(inner)
-        return "-(" + body + ")"
     raise TypeError("cannot render %r here" % type(node).__name__)
 
 
 def render(node) -> str:
-    """Write a syntax tree back as a Conway symbol."""
+    """Write a syntax tree back as a Conway symbol.
+
+    parse resolves twist marks and "-( )" groups, so a tree has many
+    spellings; render writes one that parses back to the same tree,
+    with every basis written and no "+" mark.
+    """
     if not isinstance(node, Poly):
         return _render_tangle(node)
     slots = list(node.slots)
@@ -170,30 +171,10 @@ def render(node) -> str:
             pending += 1
             continue
         out.append(_mid_run(pending) if started else _lead_run(pending))
-        body = _render_tangle(s)
-        if isinstance(s, Ram) and s.wrapped:
-            body = "(" + _render_ram_body(s) + ")"
-        out.append(body)
+        out.append(_render_tangle(s))
         started = True
         pending = 0
-    text = "".join(out)
-    prefix = node.basis if (node.basis_shown or node.basis != "6*") else ""
-    if not prefix and "." not in text and ":" not in text:
-        prefix = node.basis
-    return prefix + text
-
-
-def normalize(node):
-    """Resolve twist marks so that equal tangles compare equal."""
-    if isinstance(node, Ram):
-        return Ram(tuple(normalize(p) for p in ram_summands(node)))
-    if isinstance(node, Prod):
-        return Prod(tuple(normalize(f) for f in node.factors))
-    if isinstance(node, Neg):
-        return Neg(normalize(node.inner))
-    if isinstance(node, Poly):
-        return replace(node, slots=tuple(normalize(s) for s in node.slots))
-    return node
+    return node.basis + "".join(out)
 
 
 def symbol_crossings(node) -> int:
@@ -201,12 +182,9 @@ def symbol_crossings(node) -> int:
     if isinstance(node, Seq):
         return sum(abs(t) for t in node.terms)
     if isinstance(node, Ram):
-        return (sum(symbol_crossings(p) for p in node.parts)
-                + sum(max(run, 0) for run in node.runs))
+        return sum(symbol_crossings(p) for p in node.parts)
     if isinstance(node, Prod):
         return sum(symbol_crossings(f) for f in node.factors)
-    if isinstance(node, Neg):
-        return symbol_crossings(node.inner)
     if isinstance(node, Poly):
         return sum(symbol_crossings(s) for s in node.slots)
     raise TypeError(type(node).__name__)
@@ -220,29 +198,6 @@ def cf_value(terms):
             raise ZeroDivisionError
         value = Fraction(t) + 1 / value
     return value
-
-
-def _mirror(node):
-    if isinstance(node, Seq):
-        return Seq(tuple(-t for t in node.terms))
-    if isinstance(node, Ram):
-        return Ram(tuple(_mirror(p) for p in _summands(node)))
-    if isinstance(node, Prod):
-        return Prod(tuple(_mirror(f) for f in node.factors))
-    if isinstance(node, Neg):
-        return node.inner
-    raise OracleUnsupported(type(node).__name__)
-
-
-def _summands(ram):
-    out = []
-    for part, run in zip(ram.parts, ram.runs):
-        out.append(part)
-        if run < 0:
-            out[run:] = [_mirror(p) for p in out[run:]]
-        else:
-            out.extend([Seq((1,))] * run)
-    return out
 
 
 def _pair_add(a, b):
@@ -261,7 +216,7 @@ def tangle_pair(node):
         return pair
     if isinstance(node, Ram):
         pair = (0, 1)
-        for part in _summands(node):
+        for part in node.parts:
             n, d = tangle_pair(part)
             pair = _pair_add(pair, (d, n))
         return pair
@@ -271,9 +226,6 @@ def tangle_pair(node):
             n, d = tangle_pair(f)
             pair = _pair_add((pair[1], pair[0]), (n, d))
         return pair
-    if isinstance(node, Neg):
-        n, d = tangle_pair(node.inner)
-        return -n, d
     if isinstance(node, Poly):
         raise OracleUnsupported("polyhedral")
     raise OracleUnsupported(type(node).__name__)

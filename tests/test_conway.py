@@ -7,16 +7,17 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import normalize, render, symbol_crossings
+from oracles import render, symbol_crossings
 from qalinks import conway
 from qalinks.conway import (
-    ConwaySyntaxError, MontesinosSpec, Neg, NotMontesinosFormError,
+    ConwaySyntaxError, MontesinosSpec, NotMontesinosFormError,
     NotRationalTangleError, Poly, Prod, Ram, Seq, UnknownBasisError,
     VertexArityError, cf_pair, conway_to_montesinos, mirror_expr,
     montesinos_canonical, montesinos_det, montesinos_to_conway,
-    montesinos_value, parse, positive_cf_terms, ram_summands,
-    tangle_fraction,
+    montesinos_value, parse, positive_cf_terms, tangle_fraction,
 )
+from qalinks.diagram import build
+from qalinks.invariants import determinant
 
 # symbols that appear across the working corpus, in the exact source
 # styling; in a family's symbol the letters p..t stand for twist counts,
@@ -85,11 +86,8 @@ def instance(text):
 
 @pytest.mark.parametrize("text", CORPUS)
 def test_corpus_round_trip(text):
-    text = instance(text)
-    ast = parse(text)
-    out = render(ast)
-    assert out == text
-    assert parse(out) == ast
+    ast = parse(instance(text))
+    assert parse(render(ast)) == ast
 
 
 def test_seq_shapes():
@@ -103,29 +101,27 @@ def test_seq_shapes():
 
 
 def test_ram_shapes():
-    t = parse("2,3")
-    assert t == Ram((Seq((2,)), Seq((3,))))
-    t = parse("3,3,2-")
-    assert t.runs == (0, 0, -1)
-    t = parse("2,3,4,5--")
-    assert t.runs == (0, 0, 0, -2)
-    t = parse("(2,2+)")
-    assert t == Ram((Seq((2,)), Seq((2,))), (0, 1))
-    assert t.wrapped
-    assert t.runs[-1] == 1
-    t = parse("(2,3-),4+,(5,6-)")
-    assert t.runs == (0, 1, 0)
-    assert t.parts[0].runs == (0, -1)
-    t = parse("(2,3-) (4 1,5++++++)")
-    assert t.factors[1].runs == (0, 6)
+    assert parse("2,3") == Ram((Seq((2,)), Seq((3,))))
+    assert parse("(2,3)") == parse("2,3")
+    assert parse("(2,2+)") == Ram((Seq((2,)), Seq((2,)), Seq((1,))))
+    assert parse("(2,3-),4+,(5,6-)") == parse("(2,-3),4,1,(5,-6)")
+    assert parse("(2,3-) (4 1,5++++++)") == parse(
+        "(2,-3) (4 1,5,1,1,1,1,1,1)")
+    # a "-" run counts the parts a "+" run inserted
+    assert parse("2+,3--") == parse("2,-1,-3")
+    # one part with a mark stays a join, which flips its part
+    assert parse("2-") == parse("(2-)") == Ram((Seq((-2,)),))
+    assert parse("(2 1)") == Seq((2, 1))
 
 
 def test_product_shapes():
     t = parse("(2,2+) -(2 1,2)")
     assert isinstance(t, Prod)
     first, second = t.factors
-    assert first == Ram((Seq((2,)), Seq((2,))), (0, 1))
-    assert second == Neg(Ram((Seq((2, 1)), Seq((2,)))))
+    assert first == Ram((Seq((2,)), Seq((2,)), Seq((1,))))
+    assert second == Ram((Seq((-2, -1)), Seq((-2,))))
+    assert t == parse("(2,2,1) (-2 1,-2)")
+    assert parse("-(2 1) 3") == Prod((Seq((-2, -1)), Seq((3,))))
     # bare integers merge into one rational factor
     assert parse("(2,2) 2 1").factors[1] == Seq((2, 1))
     assert parse("(2,3) -1 -1 (4,5)").factors[1] == Seq((-1, -1))
@@ -135,7 +131,7 @@ def test_polyhedral_shapes():
     t = parse(".2.-3 0.2")
     assert t == Poly("6*", (Seq((1,)), Seq((2,)), Seq((-3, 0)), Seq((2,)),
                             Seq((1,)), Seq((1,))))
-    assert not t.basis_shown
+    assert t == parse("6*.2.-3 0.2")
     t = parse("6*-3.-2.2 0:2.-1")
     assert t.slots == (Seq((-3,)), Seq((-2,)), Seq((2, 0)), Seq((1,)),
                        Seq((2,)), Seq((-1,)))
@@ -207,20 +203,46 @@ def test_tangle_fraction_flattens_products():
     assert tangle_fraction(parse("-(2 1)")) == (-3, 2)
     with pytest.raises(NotRationalTangleError):
         tangle_fraction(parse("2,2"))
+    # a factor after the first that is not one integer adds a tangle
+    # that the continued fraction of all terms does not describe
+    for sym in ("(2 1) 3 4", "2 -(2 1)", "(2 1) (3 4)"):
+        with pytest.raises(NotRationalTangleError):
+            tangle_fraction(parse(sym))
 
 
-def test_normalize_resolves_marks():
-    assert normalize(parse("3,3,2-")) == normalize(parse("3,3,-2"))
-    assert normalize(parse("2,2+")) == normalize(parse("2,2,1"))
-    assert normalize(parse("2,3,4,5--")) == normalize(parse("2,3,-4,-5"))
-    assert normalize(parse("(2,2++)")) == normalize(parse("2,2,1,1"))
+# a mirrored group inside a product is a sequence, so these read as
+# rational tangles
+@pytest.mark.parametrize("sym", [
+    "-(2 1) 3", "-(3 1) 2", "-(2 2) -1", "(2 1) -(3)", "-(2 1 1) 4",
+])
+def test_tangle_fraction_reads_mirrored_groups(sym):
+    p, q = tangle_fraction(parse(sym))
+    assert abs(p) == determinant(build(sym))
+
+
+def test_conway_to_montesinos_reads_mirrored_groups():
+    sym = "-(2 1) 3,3,2"
+    spec = conway_to_montesinos(parse(sym))
+    assert montesinos_det(spec) == determinant(build(sym))
+
+
+def test_marks_resolve_at_parse():
+    assert parse("3,3,2-") == parse("3,3,-2")
+    assert parse("2,2+") == parse("2,2,1")
+    assert parse("2,3,4,5--") == parse("2,3,-4,-5")
+    assert parse("(2,2++)") == parse("2,2,1,1")
+    assert parse("-(2 1,2)") == parse("-2 1,-2")
 
 
 def test_mirror_expr():
     assert mirror_expr(parse("2 2")) == Seq((-2, -2))
     assert render(mirror_expr(parse("2 1 2,-2 2,3"))) == "-2 1 2,2 2,-3"
     t = parse("(2,2) (3,-2 1)")
-    assert mirror_expr(mirror_expr(t)) == normalize(t)
+    assert mirror_expr(mirror_expr(t)) == t
+    # a mirrored group of mixed signs has no spelling without "-( )"
+    t = parse("-(2 -1)")
+    assert t == Seq((-2, 1))
+    assert parse(render(t)) == t
     p = parse("6*2.2 1.-2 0.-1.-2")
     assert parse(render(mirror_expr(p))) == mirror_expr(p)
 
@@ -235,11 +257,11 @@ def test_symbol_crossings():
     assert symbol_crossings(parse(".2.-3 0.2")) == 10
 
 
-def test_ram_summands_insert_marks_in_place():
-    # marks resolve at this level only; parts keep their own marks
-    parts = ram_summands(parse("(2,3-),2+,(2,2)"))
-    assert parts == [parse("(2,3-)"), Seq((2,)), Seq((1,)), parse("(2,2)")]
-    assert ram_summands(parse("3,3,2-"))[-1] == Seq((-2,))
+def test_marks_insert_in_place():
+    # marks resolve at their own level: a group keeps its marks inside
+    parts = parse("(2,3-),2+,(2,2)").parts
+    assert parts == (parse("(2,3-)"), Seq((2,)), Seq((1,)), parse("(2,2)"))
+    assert parse("3,3,2-").parts[-1] == Seq((-2,))
 
 
 # Montesinos forms
@@ -321,7 +343,7 @@ def test_positive_cf_expansion_inverts(a, b):
     assert cf_pair(tuple(reversed(terms))) == (a, b)
 
 
-# property: parse(render(ast)) == ast over generated canonical trees
+# property: parse(render(ast)) == ast over generated trees
 
 _terms = st.integers(1, 9)
 
@@ -331,24 +353,19 @@ def seq_nodes(draw):
     terms = draw(st.lists(_terms, min_size=1, max_size=4))
     if draw(st.booleans()):
         terms = terms + [0]
+    # a "-" negates the rest of its run, so a sequence that parse makes
+    # changes sign at most once: positive terms, then negative ones, or
+    # the mirror of that
+    k = draw(st.integers(0, len(terms)))
+    terms = terms[:k] + [-t for t in terms[k:]]
     if draw(st.booleans()):
         terms = [-t for t in terms]
     return Seq(tuple(terms))
 
 
-@st.composite
-def ram_nodes(draw, parts_strategy):
-    n = draw(st.integers(1, 4))
-    parts = tuple(draw(parts_strategy) for _ in range(n))
-    runs = []
-    for j in range(n):
-        r = draw(st.sampled_from([0, 0, 0, 1, 2, -1, -2]))
-        if r < 0:
-            r = max(r, -(j + 1))
-        runs.append(r)
-    if n == 1 and runs[0] == 0:
-        runs[0] = 1
-    return Ram(parts, tuple(runs), draw(st.booleans()))
+def ram_nodes(parts_strategy):
+    return st.lists(parts_strategy, min_size=1, max_size=4).map(
+        lambda parts: Ram(tuple(parts)))
 
 
 @st.composite
@@ -366,10 +383,8 @@ def prod_nodes(draw, groups, seqs):
 def tangle_nodes():
     seqs = seq_nodes()
     rams0 = ram_nodes(seqs)
-    groups0 = st.one_of(rams0, rams0.map(Neg))
-    rams1 = ram_nodes(st.one_of(seqs, groups0, prod_nodes(groups0, seqs)))
-    groups1 = st.one_of(rams1, rams1.map(Neg))
-    return st.one_of(seqs, groups1, prod_nodes(groups1, seqs))
+    rams1 = ram_nodes(st.one_of(seqs, rams0, prod_nodes(rams0, seqs)))
+    return st.one_of(seqs, rams1, prod_nodes(rams1, seqs))
 
 
 @st.composite
@@ -379,10 +394,33 @@ def poly_nodes(draw):
     k = draw(st.integers(0, n))
     slots = [draw(tangle_nodes()) for _ in range(k)]
     slots += [Seq((1,))] * (n - k)
-    return Poly(basis, tuple(slots), draw(st.booleans()))
+    return Poly(basis, tuple(slots))
 
 
 @given(st.one_of(tangle_nodes(), poly_nodes()))
 def test_render_parse_round_trip(node):
     text = render(node)
     assert parse(text) == node
+
+
+@given(st.lists(tangle_nodes(), min_size=1, max_size=4), st.data())
+def test_marks_resolve_where_they_stand(parts, data):
+    """k "+" after part i read as k parts "1" inserted there; k "-"
+    read as the k parts up to i put through mirror_expr."""
+    i = data.draw(st.integers(0, len(parts) - 1))
+    k = data.draw(st.integers(1, 3))
+    texts = [render(p) if isinstance(p, Seq) else "(%s)" % render(p)
+             for p in parts]
+
+    def join(marks, inserted=()):
+        return parse(",".join(texts[:i] + [texts[i] + marks]
+                              + list(inserted) + texts[i + 1:]))
+
+    assert join("+" * k) == join("", ["1"] * k)
+    assert join("+" * k) == Ram(tuple(parts[:i + 1]) + (Seq((1,)),) * k
+                                + tuple(parts[i + 1:]))
+    k = min(k, i + 1)
+    mirrored = (parts[:i + 1 - k]
+                + [mirror_expr(p) for p in parts[i + 1 - k:i + 1]]
+                + parts[i + 1:])
+    assert join("-" * k) == Ram(tuple(mirrored))

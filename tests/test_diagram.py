@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from qalinks import conway
 from qalinks import diagram as D
 
+from test_conway import CORPUS, instance
 from oracles import (
     brute_canonical_code, checkerboard, code_from, dart_faces, mirror,
     r3_moves_every_arc, render, symbol_crossings, walk_fuse,
@@ -547,6 +548,18 @@ class TestCorpus:
             rhs = D.canonical_code(build(render(
                 conway.mirror_expr(conway.parse(sym)))))
             assert lhs == rhs
+
+    def test_codes_are_pinned(self):
+        # sha256 of the newline-joined canonical codes of SYMBOLS and
+        # the integer members of the conway tests' corpus.  A "-( )"
+        # group builds as the mirror of its tree, which may turn its
+        # crossings by a half from an earlier build; the codes may not
+        # move.
+        syms = SYMBOLS + [instance(t) for t in CORPUS]
+        codes = [D.canonical_code(build(s)) for s in syms]
+        digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+        assert digest == ("c2c30cc042e7e14f68941ab9688b17e6"
+                          "18d5fc44f8e529773c2d29db5a7bf75e")
 
     def test_alternating_iff_no_negative_entries(self):
         assert D.is_alternating(build("2 1 1,2 1,2"))

@@ -690,6 +690,24 @@ def test_codes_spell_numbers_in_ascii_digits_only(code):
     assert not verify_certificate(replace(cert, diagram_code=code))
 
 
+# the trefoil with a leading zero on a plug id, a slot or its loop
+# count, which canonical_code never writes; int() reads each as the
+# trefoil's own numbers
+ZERO_LED = [TREFOIL.replace(",0.1 ", "," + pq + " ")
+            for pq in ("00.1", "0.01", "000.1")] + [
+    TREFOIL[:-1] + "00",
+    "1.1 1.0 2.1 2.0,00.1 0.0 2.3 2.2,0.3 0.2 1.3 1.2|00",
+]
+
+
+@pytest.mark.parametrize("code", ZERO_LED)
+def test_codes_spell_numbers_without_leading_zeros(code):
+    cert = run("3").certificate
+    with pytest.raises(ValueError):
+        D.from_code(code)
+    assert not verify_certificate(replace(cert, diagram_code=code))
+
+
 def test_certificate_text_is_pinned():
     # stored certificates are this exact JSON text
     blob = json.dumps(certificate_to_dict(run("6*2.2 1.-2 0.-1.-2").certificate))
