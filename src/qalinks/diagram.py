@@ -75,6 +75,12 @@ def fuse(arcs, pairs):
         link[a] = b
         link[b] = a
     out = dict(arcs)
+    return out, _fuse_chains(out, link)
+
+
+def _fuse_chains(out, link):
+    """fuse in place on the arc dict out, link mapping each connector to
+    its partner; returns the loops, each by its first plug in link."""
     loops = []
     for p in link:
         if p not in out:  # walked with an earlier plug of its chain
@@ -94,8 +100,8 @@ def fuse(arcs, pairs):
             while r in link:
                 del out[r]
                 r = out.pop(link[r])
-            _pair(out, q, r)
-    return out, loops
+            out[q], out[r] = r, q
+    return loops
 
 
 @dataclass
@@ -404,8 +410,7 @@ def scan_order(d: LinkDiagram):
     from crossing 0, so the open ends stay few."""
     order, touch = [], [0] * d.n  # arcs to placed crossings, -1 if placed
     for _ in range(d.n):
-        c = max((e for e in range(d.n) if touch[e] >= 0),
-                key=lambda e: (touch[e], -e))
+        c = max(range(d.n), key=touch.__getitem__)  # the first of the most
         order.append(c)
         touch[c] = -1
         for q in range(4 * c, 4 * c + 4):
@@ -438,18 +443,22 @@ def scan_walk(d: LinkDiagram):
     moves[i], for matching i before c, one (index in mats, loop plugs)
     per smoothing of c, A then B, as fuse glues it on through pairs.
     """
-    adj, order = d.adj, scan_order(d)
-    at = {c: i for i, c in enumerate(order)}
-    cut = max(((p, adj[p]) for p in range(4 * d.n) if p < adj[p]),
-              key=lambda a: (min(at[a[0] >> 2], at[a[1] >> 2]), -a[0]),
-              default=())
+    adj, order, cut, placed = d.adj, scan_order(d), (), set()
+    for c in reversed(order):  # the arcs whose earlier end is c
+        placed.add(c)
+        arcs = [tuple(sorted((q, adj[q]))) for q in range(4 * c, 4 * c + 4)
+                if adj[q] >> 2 in placed]
+        if arcs:
+            cut = min(arcs)
+            break
     placed, ends, mats, steps = set(), [], [{}], []
     for c in order:
         placed.add(c)
         plugs = range(4 * c, 4 * c + 4)
         pairs = [(q, adj[q]) for q in plugs if adj[q] >> 2 in placed
                  and (adj[q] >> 2 != c or q < adj[q]) and q not in cut]
-        ends = sorted({*ends, *plugs} - {p for pair in pairs for p in pair})
+        link = dict(pairs + [(r, q) for q, r in pairs])
+        ends = sorted({*ends, *plugs}.difference(link))
         p0, p1, p2, p3 = plugs
         smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
                       {p0: p3, p3: p0, p1: p2, p2: p1})   # B
@@ -457,11 +466,12 @@ def scan_walk(d: LinkDiagram):
         for m in mats:
             row = []
             for s in smoothings:
-                arcs, loops = fuse({**m, **s}, pairs)
-                j = ids.setdefault(tuple(arcs[p] for p in ends),
-                                   len(new_mats))
+                arcs = {**m, **s}
+                loops = _fuse_chains(arcs, link)
+                key = tuple(map(arcs.__getitem__, ends))
+                j = ids.setdefault(key, len(new_mats))
                 if j == len(new_mats):
-                    new_mats.append(arcs)
+                    new_mats.append(dict(zip(ends, key)))
                 row.append((j, loops))
             moves.append(row)
         mats = new_mats

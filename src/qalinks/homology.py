@@ -80,12 +80,13 @@ generator.
 
 The scan's work grows with the matchings of the open ends rather than
 with 2^n, but each object costs far more than a cube labeling, so
-below SCAN_FROM crossings the cube is faster, as measured against it:
-cube time over scan time, summed per crossing number over the
-benchmark's simplified homology-table and table-rows diagrams, is 0.8
-at 6 crossings, 1.3 at 7, 2.3 at 8 and 14 at 12, though some seven-
-crossing diagrams are still faster on the cube.  khovanov_f2 reads
-SCAN_FROM and the caps from d.n at call time.
+the cube is faster on small diagrams, as measured: cube time over
+scan time, summed per crossing number over the benchmark's simplified
+homology-table and table-rows diagrams, is 0.7 at 5 crossings, 1.1 at
+6, 1.6 at 7, 3.1 at 8 and 19 at 12.  At 6 crossings the two are about
+even, with 14 to 17 of the 37 diagrams faster on the cube, and some
+seven-crossing diagrams are still faster on the cube.  khovanov_f2
+reads SCAN_FROM and the caps from d.n at call time.
 
 The size caps are the module constants CROSSING_CAP and DIM_CAP; a
 diagram over either raises SizeLimitError before the complex is
@@ -320,30 +321,6 @@ def _cube(d: LinkDiagram) -> dict:
                        for (r, q), dim in dims.items()})
 
 
-def _cycles(m, n, ends, marks):
-    """The cycles of the matchings m ∪ n of ends: (plug -> cycle,
-    cycle count, mask of the cycles through marks, each cycle's
-    smallest plug), cycles numbered from their smallest plugs."""
-    lab, starts = {}, []
-    for p in ends:
-        if p in lab:
-            continue
-        k = len(starts)
-        starts.append(p)
-        q = p
-        while True:
-            lab[q] = k
-            q = m[q]
-            lab[q] = k
-            q = n[q]
-            if q == p:
-                break
-    mask = 0
-    for p in marks:
-        mask |= 1 << lab[p]
-    return lab, len(starts), mask, starts
-
-
 def _surface(nodes, glued, cycle_nodes, marked):
     """A surface made of disks 0..nodes-1 glued as glued lists them,
     (u, v, 1) along an interval and (u, v, 0) along a circle, whose
@@ -352,56 +329,66 @@ def _surface(nodes, glued, cycle_nodes, marked):
     no dot, terms with one dot), each term a mask of dotted cycles, or
     None when a handle makes it 0."""
     parent, chi = list(range(nodes)), [1] * nodes
+    disks = [1 << x for x in parent]
     for u, v, w in glued:
         while parent[u] != u:
             u = parent[u]
         while parent[v] != v:
             v = parent[v]
-        if u != v:
+        if u != v:  # the larger root joins the smaller
+            if u < v:
+                u, v = v, u
             parent[u] = v
             chi[v] += chi[u]
+            disks[v] |= disks[u]
         chi[v] -= w
-    disks = {}
-    for x in range(nodes):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        disks[r] = disks.get(r, 0) | 1 << x
-    cycles = dict.fromkeys(disks, 0)
+    cycles = [0] * nodes
     for i, x in enumerate(cycle_nodes):
         while parent[x] != x:
             x = parent[x]
         cycles[x] |= 1 << i
-    out = []
-    for r, cyc in cycles.items():
+    out = []  # each root is its component's smallest disk
+    for r, p in enumerate(parent):
+        if p != r:
+            continue
+        cyc = cycles[r]
         if chi[r] + cyc.bit_count() != 2:  # a handle
             return None
         mark = cyc & marked
         if not cyc:  # a sphere: 1 with one dot
             none = ()
-        elif not mark:
-            none = [cyc & ~(1 << i) for i in range(cyc.bit_length())
-                    if cyc >> i & 1] if cyc & cyc - 1 else (0,)
-        else:  # one marked cycle is left undotted, two cannot be
-            none = () if mark & mark - 1 else (cyc & ~mark,)
+        elif mark:  # one marked cycle is left undotted, two cannot be
+            none = () if mark & mark - 1 else (cyc ^ mark,)
+        elif cyc & cyc - 1:  # each cycle left undotted in turn
+            none = [cyc ^ 1 << i for i in range(cyc.bit_length())
+                    if cyc >> i & 1]
+        else:
+            none = (0,)
         out.append((disks[r], none, () if mark else (cyc,)))
     return out
 
 
 def _reduce(comps, dots):
     """The morphism of a _surface with a dot on each disk in dots: the
-    F2 sum of its terms, an int with bit P set for dot pattern P."""
-    terms = [0]
+    F2 sum of its terms, an int with bit P set for dot pattern P; only
+    components with several terms multiply the terms out."""
+    fixed, terms = 0, None
     for disks, none, one in comps:
-        k = (dots & disks).bit_count()
-        opts = none if k == 0 else one if k == 1 else None
-        if not opts:
+        if dots & disks:  # one dot: all cycles dotted; two: 0
+            if not one or (dots & disks).bit_count() > 1:
+                return 0
+            fixed |= one[0]
+        elif len(none) == 1:
+            fixed |= none[0]
+        elif none:
+            terms = [t | o for t in terms or (0,) for o in none]
+        else:
             return 0
-        if opts[0]:
-            terms = [t | o for t in terms for o in opts]
+    if terms is None:
+        return 1 << fixed
     out = 0
     for t in terms:
-        out |= 1 << t
+        out |= 1 << (t | fixed)
     return out
 
 
@@ -413,16 +400,36 @@ def _patterns(f):
         f ^= low
 
 
-def _cycle_table(mats, ends, marks):
-    """_cycles of the pairs of matchings of one step, each found once."""
-    memo = {}
+class _Cycles(dict):
+    """The cycles of the matchings a ∪ b of one step, keyed (a, b) and
+    found on first use: (plug -> cycle, cycle count, mask of the cycles
+    through marks, each cycle's smallest plug), cycles numbered from
+    their smallest plugs."""
 
-    def cycles(a, b):
-        got = memo.get((a, b))
-        if got is None:
-            got = memo[a, b] = _cycles(mats[a], mats[b], ends, marks)
+    def __init__(self, mats, ends, marks):
+        self.mats, self.ends, self.marks = mats, ends, marks
+
+    def __missing__(self, key):
+        m, n = self.mats[key[0]], self.mats[key[1]]
+        lab, starts = {}, []
+        for p in self.ends:
+            if p in lab:
+                continue
+            k = len(starts)
+            starts.append(p)
+            q = p
+            while True:
+                lab[q] = k
+                q = m[q]
+                lab[q] = k
+                q = n[q]
+                if q == p:
+                    break
+        mask = 0
+        for p in self.marks:
+            mask |= 1 << lab[p]
+        got = self[key] = lab, len(starts), mask, starts
         return got
-    return cycles
 
 
 def _complexes(d: LinkDiagram):
@@ -442,10 +449,10 @@ def _complexes(d: LinkDiagram):
         weights = new_weights
     _check_dimension(d, sum(weights))
 
-    objects, out = {0: ((0, 0), 0)}, {0: {}}
-    cycles = _cycle_table([{}], [], [])
+    out, keys, hs = {0: {}}, [(0, 0)], [0]  # one object at (0, 0), h = 0
+    cycles = _Cycles([{}], [], [])
     for c, pairs, ends, mats, moves in steps:
-        old_cycles, cycles = cycles, _cycle_table(
+        old_cycles, cycles = cycles, _Cycles(
             mats, ends, [p for p in cut if p in ends])
         # the crossing's disks: a strip per arc of either smoothing, or
         # the saddle between them
@@ -459,20 +466,20 @@ def _complexes(d: LinkDiagram):
             copies, for f the sum of the patterns fs: (label of a's
             loops, label of b's loops, morphism), a label's bit set
             where its loop sits at q - 1."""
-            lab, k, _, _ = old_cycles(a, b)
+            lab, k, _, _ = old_cycles[a, b]
             ja, la = moves[a][sa]
             jb, lb = moves[b][sb]
-            _, _, marked, starts = cycles(ja, jb)
-            # disks: the crossing's, the old cycles', a cap on each loop
-            part, size = (strips[sa], 2) if sa == sb else (saddle, 1)
-            caps = size + k
-            glued = [(part[q], part[r] if r >> 2 == c else size + lab[r], 1)
+            _, _, marked, starts = cycles[ja, jb]
+            # disks: the old cycles', the crossing's, a cap on each loop
+            part, caps = (strips[sa], k + 2) if sa == sb else (saddle, k + 1)
+            glued = [(k + part[q], lab[r] if r in lab else k + part[r], 1)
                      for q, r in pairs]
-            glued += [(caps + i, part[p] if p >> 2 == c else size + lab[p], 0)
-                      for i, p in enumerate(la + lb)]
+            loops = la + lb  # plugs of the crossing, each first of its loop
+            for i, p in enumerate(loops):
+                glued.append((caps + i, k + part[p], 0))
             comps = _surface(
-                caps + len(la) + len(lb), glued,
-                [part[p] if p >> 2 == c else size + lab[p] for p in starts],
+                caps + len(loops), glued,
+                [lab[p] if p in lab else k + part[p] for p in starts],
                 marked)
             got = []
             if comps is None:
@@ -484,101 +491,115 @@ def _complexes(d: LinkDiagram):
                     dots = (u | (top ^ v) << na) << caps
                     m = 0
                     for pat in fs:
-                        m ^= _reduce(comps, pat << size | dots)
+                        m ^= _reduce(comps, pat | dots)
                     if m:
                         got.append((u, v, m))
             return got
 
-        def add(x, y, m):
-            """Add m to the entry x -> y; a new entry between copies of
-            one matching at one q is an identity, queued to go."""
-            row = out[x]
-            old = row.get(y)
-            if old is None:
-                row[y] = m
-                into[y].add(x)
-                if objects[x][0] == objects[y][0]:
-                    work.append((x, y))
-            elif old != m:
-                row[y] = old ^ m
-            else:
-                del row[y]
-                into[y].discard(x)
-
-        new_objects, base = {}, {}
-        for o, ((a, q), h) in objects.items():
+        base, old_keys, old_hs, keys, hs = {}, keys, hs, [], []
+        for o in out:
+            (a, q), h = old_keys[o], old_hs[o]
             here = base[o] = []
             for s, (j, loops) in enumerate(moves[a]):
-                k = len(loops)
-                here.append(len(new_objects))
-                for u in range(1 << k):
-                    new_objects[len(new_objects)] = (
-                        (j, q + s + k - 2 * u.bit_count()), h + s)
-        old_objects, old_out, objects = objects, out, new_objects
-        out = {x: {} for x in objects}
-        into, work, saddles, tensors = {x: set() for x in objects}, [], {}, {}
-        for o, ((a, _), _) in old_objects.items():
-            x0, x1 = base[o]
+                k = len(loops)  # 2^k copies, each loop at q + 1 or q - 1
+                here.append(len(keys))
+                keys += [(j, q + s + k - 2 * u.bit_count())
+                         for u in range(1 << k)] if k else [(j, q + s)]
+                hs += [h + s] * (1 << k)
+        old_out, out = out, {x: {} for x in range(len(keys))}
+        into, work, saddles, tensors = {x: set() for x in out}, [], {}, {}
+        # no two entries of the old complex, nor the saddles, meet at
+        # one new entry, so each is set once
+        for o, row in old_out.items():
+            a = old_keys[o][0]
+            x0, x1 = here = base[o]
             got = saddles.get(a)
             if got is None:
                 got = saddles[a] = glue(a, a, 0, 1, (0,))
-            for u, v, m in got:
-                add(x0 + u, x1 + v, m)
-            for t, f in old_out[o].items():
-                b = old_objects[t][0][0]
+            blocks = [(x0, x1, got)]
+            for t, f in row.items():
+                b = old_keys[t][0]
                 got = tensors.get((a, b, f))
                 if got is None:
                     fs = tuple(_patterns(f))
                     got = tensors[a, b, f] = (glue(a, b, 0, 0, fs),
                                               glue(a, b, 1, 1, fs))
-                for x, y, got in zip(base[o], base[t], got):
-                    for u, v, m in got:
-                        add(x + u, y + v, m)
-        composed = {}
+                blocks += zip(here, base[t], got)
+            for x, y, got in blocks:
+                for u, v, m in got:
+                    u += x
+                    v += y
+                    out[u][v] = m
+                    into[v].add(u)
+                    if keys[u] == keys[v]:
+                        work.append((u, v))
+        composed, shapes = {}, {}
 
         def compose(s, b, t, f, g):
-            ms, mb, mt = objects[s][0][0], objects[b][0][0], objects[t][0][0]
+            ms, mb, mt = keys[s][0], keys[b][0], keys[t][0]
             key = (ms, mb, mt, f, g)
             got = composed.get(key)
             if got is not None:
                 return got
-            shape = composed.get(key[:3])
+            shape = shapes.get(key[:3])
             if shape is None:
-                lx, kx, _, _ = cycles(ms, mb)
-                ly, ky, _, _ = cycles(mb, mt)
+                lx, kx, _, _ = cycles[ms, mb]
+                ly, ky, _, _ = cycles[mb, mt]
                 middle = mats[mb]
                 glued = [(lx[p], kx + ly[p], 1) for p in middle
                          if p < middle[p]]
-                _, _, marked, starts = cycles(ms, mt)
-                shape = composed[key[:3]] = (_surface(
+                _, _, marked, starts = cycles[ms, mt]
+                shape = shapes[key[:3]] = (_surface(
                     kx + ky, glued, [lx[p] for p in starts], marked), kx)
             comps, kx = shape
-            got = 0
-            if comps is not None:
+            if comps is None:
+                got = 0
+            elif f & f - 1 or g & g - 1:
+                got = 0
                 for x in _patterns(f):
                     for y in _patterns(g):
                         got ^= _reduce(comps, x | y << kx)
+            else:  # one pattern each
+                got = _reduce(comps, f.bit_length() - 1
+                              | g.bit_length() - 1 << kx)
             composed[key] = got
             return got
 
-        # Gaussian elimination of every identity entry a -> b
+        # Gaussian elimination of every identity entry a -> b: each s -> t
+        # gains the composite through it; a new entry between copies of
+        # one matching at one q is an identity, queued to go
         for a, b in work:
-            if b not in out.get(a, ()):
+            row = out.get(a, ())
+            if b not in row:
                 continue
-            sources = [(s, out[s][b]) for s in into[b] if s != a]
-            targets = [(t, g) for t, g in out[a].items() if t != b]
-            for s, f in sources:
-                for t, g in targets:
-                    m = compose(s, b, t, f, g)
-                    if m:
-                        add(s, t, m)
+            if len(row) > 1 < len(into[b]):  # a path s -> b -> a -> t
+                sources = [(s, out[s][b]) for s in into[b] if s != a]
+                targets = [(t, g) for t, g in row.items() if t != b]
+                mb = keys[b][0]
+                for s, f in sources:
+                    here, ms = out[s], keys[s][0]
+                    for t, g in targets:
+                        m = composed.get((ms, mb, keys[t][0], f, g))
+                        if m is None:
+                            m = compose(s, b, t, f, g)
+                        old = here.get(t)
+                        if old is None:
+                            if m:
+                                here[t] = m
+                                into[t].add(s)
+                                if keys[s] == keys[t]:
+                                    work.append((s, t))
+                        elif old != m:
+                            here[t] = old ^ m
+                        else:
+                            del here[t]
+                            into[t].discard(s)
             for x in a, b:
                 for t in out.pop(x):
                     into[t].discard(x)
                 for s in into.pop(x):
                     del out[s][x]
-                del objects[x]
-        yield objects, out, compose
+        yield {x: (keys[x], hs[x]) for x in out}, out, compose
 
 
 def _scan(d: LinkDiagram) -> dict:

@@ -170,28 +170,33 @@ def bracket(d) -> LaurentPoly:
         raise diag.DisconnectedDiagramError(
             "the empty link has no normalized Jones polynomial")
     cut, steps = diag.scan_walk(d)
-    # per matching: {k * w + b: states}, k counting the free loops and
-    # the cut arc's from the start
-    w = d.n + 1
-    layer = [{(d.loops + bool(cut)) * w: 1}]
+    # per matching, its states as one int: the count with k loops and b
+    # B smoothings is digit k * w + b in base 2^(n + 1), wide enough for
+    # all 2^n states, k counting the free loops and the cut arc's from
+    # the start
+    bits = w = d.n + 1
+    layer = [1 << (d.loops + bool(cut)) * w * bits]
     for _, _, _, mats, moves in steps:
-        nxt = [{} for _ in mats]
-        for counts, row in zip(layer, moves):
-            for b, (j, loops) in enumerate(row):
-                here, shift = nxt[j], len(loops) * w + b
-                for key, v in counts.items():
-                    key += shift
-                    here[key] = here.get(key, 0) + v
+        nxt = [0] * len(mats)
+        for x, ((ja, la), (jb, lb)) in zip(layer, moves):
+            nxt[ja] += x << len(la) * w * bits
+            nxt[jb] += x << (len(lb) * w + 1) * bits
         layer = nxt
     # per loop count k, the sum of A^(n - 2b) over its states, then the
     # sum over k of that times delta^(k - 1), by Horner's rule
-    sums = {}
-    for key, v in layer[0].items():
-        sums.setdefault(key // w, {})[d.n - 2 * (key % w)] = v
-    delta, out = LaurentPoly({2: -1, -2: -1}), LaurentPoly()
+    x, sums = layer[0], {}
+    for key in range(x.bit_length() // bits + 1):
+        v = x >> key * bits & (1 << bits) - 1
+        if v:
+            sums.setdefault(key // w, {})[d.n - 2 * (key % w)] = v
+    out = {}
     for k in range(max(sums), 0, -1):
-        out = out * delta + LaurentPoly(sums.get(k))
-    return out
+        here = dict(sums.get(k, ()))
+        for e, v in out.items():
+            here[e + 2] = here.get(e + 2, 0) - v
+            here[e - 2] = here.get(e - 2, 0) - v
+        out = here
+    return LaurentPoly(out)
 
 
 # The live Jones polynomials by their terms, so that the rows of a table

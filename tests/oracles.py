@@ -74,6 +74,14 @@ crossings' outer plugs, and renumber every plug of what is left
 through without_crossings; the package patches a copy of the table,
 walks only the chains through the dropped plugs, fuses a bigon
 straight through and finds a kink or bigon in one pass.
+
+fuse_scan_walk, dict_surface and list_reduce are the planar scan's
+kernels as first written: the walk fuses each matching with each
+smoothing through diagram.fuse on a merged arc dict, the surface finds
+each disk's root again for every disk and every cycle, and the reduce
+forms the product of every component's terms.  The package walks the
+connector chains of each step in place, finds each root once and forms
+products only over components with several terms.
 """
 
 from fractions import Fraction
@@ -82,8 +90,8 @@ from qalinks import conway
 from qalinks import homology as H
 from qalinks.conway import Poly, Prod, Ram, Seq
 from qalinks.diagram import (
-    DisconnectedDiagramError, LinkDiagram, _through, crossing_signs,
-    graph_components,
+    DisconnectedDiagramError, LinkDiagram, _through, crossing_signs, fuse,
+    graph_components, scan_order,
 )
 from qalinks.invariants import LaurentPoly
 
@@ -778,3 +786,94 @@ def copying_reduce_once(d):
         return without_crossings(d.n, arcs, d.loops + len(loops),
                                  {a // 4, b // 4})
     return None
+
+
+def fuse_scan_walk(d):
+    """diagram.scan_walk with every matching fused to each smoothing by
+    diagram.fuse on a merged arc dict."""
+    adj, order = d.adj, scan_order(d)
+    at = {c: i for i, c in enumerate(order)}
+    cut = max(((p, adj[p]) for p in range(4 * d.n) if p < adj[p]),
+              key=lambda a: (min(at[a[0] >> 2], at[a[1] >> 2]), -a[0]),
+              default=())
+    placed, ends, mats, steps = set(), [], [{}], []
+    for c in order:
+        placed.add(c)
+        plugs = range(4 * c, 4 * c + 4)
+        pairs = [(q, adj[q]) for q in plugs if adj[q] >> 2 in placed
+                 and (adj[q] >> 2 != c or q < adj[q]) and q not in cut]
+        ends = sorted({*ends, *plugs} - {p for pair in pairs for p in pair})
+        p0, p1, p2, p3 = plugs
+        smoothings = ({p0: p1, p1: p0, p2: p3, p3: p2},   # A
+                      {p0: p3, p3: p0, p1: p2, p2: p1})   # B
+        ids, new_mats, moves = {}, [], []
+        for m in mats:
+            row = []
+            for s in smoothings:
+                arcs, loops = fuse({**m, **s}, pairs)
+                j = ids.setdefault(tuple(arcs[p] for p in ends),
+                                   len(new_mats))
+                if j == len(new_mats):
+                    new_mats.append(arcs)
+                row.append((j, loops))
+            moves.append(row)
+        mats = new_mats
+        steps.append((c, pairs, ends, mats, moves))
+    return cut, steps
+
+
+def dict_surface(nodes, glued, cycle_nodes, marked):
+    """homology._surface with every root found again for each disk and
+    each cycle, the components keyed by root in a dict."""
+    parent, chi = list(range(nodes)), [1] * nodes
+    for u, v, w in glued:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            chi[v] += chi[u]
+        chi[v] -= w
+    disks = {}
+    for x in range(nodes):
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        disks[r] = disks.get(r, 0) | 1 << x
+    cycles = dict.fromkeys(disks, 0)
+    for i, x in enumerate(cycle_nodes):
+        while parent[x] != x:
+            x = parent[x]
+        cycles[x] |= 1 << i
+    out = []
+    for r, cyc in cycles.items():
+        if chi[r] + cyc.bit_count() != 2:  # a handle
+            return None
+        mark = cyc & marked
+        if not cyc:  # a sphere: 1 with one dot
+            none = ()
+        elif not mark:
+            none = [cyc & ~(1 << i) for i in range(cyc.bit_length())
+                    if cyc >> i & 1] if cyc & cyc - 1 else (0,)
+        else:  # one marked cycle is left undotted, two cannot be
+            none = () if mark & mark - 1 else (cyc & ~mark,)
+        out.append((disks[r], none, () if mark else (cyc,)))
+    return out
+
+
+def list_reduce(comps, dots):
+    """homology._reduce with the product of every component's terms
+    formed as a list."""
+    terms = [0]
+    for disks, none, one in comps:
+        k = (dots & disks).bit_count()
+        opts = none if k == 0 else one if k == 1 else None
+        if not opts:
+            return 0
+        if opts[0]:
+            terms = [t | o for t in terms for o in opts]
+    out = 0
+    for t in terms:
+        out |= 1 << t
+    return out

@@ -12,7 +12,7 @@ from qalinks import diagram as D
 from test_conway import CORPUS, instance
 from oracles import (
     brute_canonical_code, checkerboard, code_from, dart_faces, mirror,
-    r3_moves_every_arc, render, symbol_crossings, walk_fuse,
+    fuse_scan_walk, r3_moves_every_arc, render, symbol_crossings, walk_fuse,
 )
 
 
@@ -454,6 +454,17 @@ class TestScanWalk:
             assert sum(states) == 2 ** d.n
         # the corpus holds every edge case
         assert min(kinds.values()) > 0, kinds
+
+    def test_agrees_with_the_fuse_walk(self):
+        # cut, and per step pairs, ends, matchings and moves with their
+        # loop plugs, as fusing each matching with each smoothing gives
+        loops = 0
+        for d in self.CORPUS:
+            got = D.scan_walk(d)
+            assert got == fuse_scan_walk(d)
+            loops += sum(len(ls) for *_, moves in got[1]
+                         for row in moves for _, ls in row)
+        assert loops > 500
 
 
 class TestPlugTable:

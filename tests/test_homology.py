@@ -20,8 +20,8 @@ from qalinks import homology as H
 from qalinks.invariants import LaurentPoly, SizeLimitError, jones, signature
 
 from oracles import (
-    cube_d_squared_zero, cube_khovanov_f2, d_squared_zero, mirror,
-    union_find_circles, union_find_strands,
+    cube_d_squared_zero, cube_khovanov_f2, d_squared_zero, dict_surface,
+    list_reduce, mirror, union_find_circles, union_find_strands,
 )
 from test_diagram import BATTERY, mixed_closures
 
@@ -192,6 +192,50 @@ class TestSurfaceRules:
         assert H._reduce(H._surface(*self.PANTS, 0b011), 0) == 0
 
 
+class TestScanKernels:
+    """The scan's surface and reduce kernels return what their first
+    versions in tests/oracles.py return, on every call that khovanov_f2
+    makes on BATTERY with the scan forced from 0 crossings."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        surfaces, reduces = [], []
+        surface, reduce = H._surface, H._reduce
+
+        def record_surface(*args):
+            surfaces.append(args)
+            return surface(*args)
+
+        def record_reduce(*args):
+            reduces.append(args)
+            return reduce(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(H, "SCAN_FROM", 0)
+            m.setattr(H, "_surface", record_surface)
+            m.setattr(H, "_reduce", record_reduce)
+            for sym in BATTERY:
+                H.khovanov_f2(D.build(sym))
+        return surfaces, reduces
+
+    def test_surface(self, calls):
+        surfaces, _ = calls
+        assert len(surfaces) > 1000
+        for args in surfaces:
+            assert H._surface(*args) == dict_surface(*args)
+
+    def test_reduce(self, calls):
+        _, reduces = calls
+        assert len(reduces) > 1000
+        # components of every kind: a sphere, a marked cycle, one term
+        # undotted, several
+        kinds = {(min(len(none), 2), len(one)) for comps, _ in reduces
+                 for _, none, one in comps}
+        assert {(0, 1), (1, 0), (1, 1), (2, 1)} <= kinds
+        for args in reduces:
+            assert H._reduce(*args) == list_reduce(*args)
+
+
 class TestScanComplex:
     """The local scan's complex, forced on every diagram by SCAN_FROM =
     0, squares to zero after every crossing and ends with no
@@ -256,11 +300,24 @@ class TestCutArc:
                                 if reached(x) == last)
 
     def test_largest_complex_at_twelve_crossings(self):
-        # the arc (0, adj[0]), open from the first crossing, took it to
-        # 221 objects
-        d = D.build("2 1 1:-2 1 0:2 0")
-        assert d.n == 12
-        assert max(len(objects) for objects, _, _ in H._complexes(d)) == 98
+        # the objects and entries of the scan's complex after every step,
+        # which pin its delooping and eliminations crossing by crossing;
+        # the arc (0, adj[0]), open from the first crossing, took the
+        # twelve-crossing diagram to 221 objects
+        cases = [
+            (D.from_braid([-1, -1, 2, 2, 2, -1, -1], 3),
+             [2, 3, 4, 4, 8, 12, 12], [1, 2, 3, 0, 4, 8, 0]),
+            (D.build("3,3,-3"), [2, 3, 4, 8, 12, 15, 11, 11, 9],
+             [1, 2, 3, 10, 17, 18, 14, 12, 0]),
+            (D.build("2 1 1:-2 1 0:2 0"),
+             [2, 3, 5, 8, 16, 29, 50, 84, 98, 73, 73, 49],
+             [1, 2, 4, 7, 22, 47, 92, 172, 146, 119, 125, 0]),
+        ]
+        for d, objects, entries in cases:
+            sizes = [(len(o), sum(map(len, out.values())))
+                     for o, out, _ in H._complexes(d)]
+            assert sizes == list(zip(objects, entries))
+        assert d.n == 12 and max(objects) == 98
 
     def check(self, d, rng, monkeypatch):
         """Check d's relabelled copies; return how many of those with
